@@ -327,10 +327,11 @@ check_floor() {
 check_floor 'internal/gtpn' "$GTPN_COVER_FLOOR"
 check_floor 'internal/service' "$SERVICE_COVER_FLOOR"
 check_floor 'internal/cluster' "$CLUSTER_COVER_FLOOR"
-# Fuzz smoke: both fuzz targets run briefly so a crasher or a broken
+# Fuzz smoke: every fuzz target runs briefly so a crasher or a broken
 # corpus fails the gate long before a dedicated fuzzing run.
 go test ./internal/gtpn -run '^$' -fuzz FuzzParseNet -fuzztime 20s
 go test ./internal/service -run '^$' -fuzz FuzzSolveRequest -fuzztime 20s
+go test ./internal/service -run '^$' -fuzz FuzzClusterMerge -fuzztime 20s
 go test -run '^$' -bench . -benchtime 1x . ./internal/gtpn ./internal/service
 # The benchmark recorder itself must stay runnable (parse + schema).
 go run ./cmd/ipcbench -benchtime 1x -bench 'ResolveInstant' -out /dev/null

@@ -5,8 +5,8 @@
 // the fleet's merged event journal.
 //
 // The poll fans out to each node's LOCAL scope and merges client-side
-// (the same (unix_ms, node, seq) order the cluster's own ?scope=cluster
-// merge uses), so the dashboard works identically against one node, a
+// through the same (unix_ms, node, seq) merge the cluster's own
+// ?scope=cluster views use (service.MergeTimeline), so the dashboard works identically against one node, a
 // full cluster, or a partial target list — and keeps working while
 // members are down: a dead node renders as unreachable, it never blanks
 // the view.
@@ -29,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -88,13 +87,8 @@ func main() {
 // polled bodies, so a snapshot over unchanged nodes is byte-stable under
 // the deterministic encoding.
 func collect(client *http.Client, targets []string) map[string]any {
-	type tagged struct {
-		unixMS float64
-		node   string
-		seq    int
-		entry  map[string]any
-	}
-	var merged []tagged
+	var names []string
+	var journals []map[string]any
 	nodes := make([]any, 0, len(targets))
 	unreachable := []string{}
 	for _, target := range targets {
@@ -111,7 +105,7 @@ func collect(client *http.Client, targets []string) map[string]any {
 			name = target
 		}
 		serving, _ := metrics["serving"].(map[string]any)
-		node := map[string]any{
+		nodes = append(nodes, map[string]any{
 			"target":             target,
 			"reachable":          true,
 			"node":               name,
@@ -125,32 +119,15 @@ func collect(client *http.Client, targets []string) map[string]any {
 			"resp_cache_hit_ppm": hitPPM(metrics),
 			"slo":                objectives(metrics),
 			"peers":              peerList(health),
-			"events_in_journal":  float64(len(eventList(events))),
-		}
-		nodes = append(nodes, node)
-		for i, ev := range eventList(events) {
-			ev["node"] = name
-			ts, _ := ev["unix_ms"].(float64)
-			merged = append(merged, tagged{unixMS: ts, node: name, seq: i, entry: ev})
-		}
-	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].unixMS != merged[j].unixMS {
-			return merged[i].unixMS < merged[j].unixMS
-		}
-		if merged[i].node != merged[j].node {
-			return merged[i].node < merged[j].node
-		}
-		return merged[i].seq < merged[j].seq
-	})
-	mergedEvents := make([]any, 0, len(merged))
-	for _, t := range merged {
-		mergedEvents = append(mergedEvents, t.entry)
+			"events_in_journal":  journalLen(events),
+		})
+		names = append(names, name)
+		journals = append(journals, events)
 	}
 	return map[string]any{
 		"targets":     targets,
 		"nodes":       nodes,
-		"events":      mergedEvents,
+		"events":      service.MergeTimeline("events", names, journals),
 		"unreachable": unreachable,
 	}
 }
@@ -283,16 +260,15 @@ func objectives(metrics map[string]any) []any {
 // peerList extracts a /debug/health document's peer rows.
 func peerList(health map[string]any) []any { return anyList(health, "peers") }
 
-// eventList extracts a /debug/events document's rows as mutable maps.
-func eventList(events map[string]any) []map[string]any {
-	raw := anyList(events, "events")
-	out := make([]map[string]any, 0, len(raw))
-	for _, e := range raw {
-		if em, ok := e.(map[string]any); ok {
-			out = append(out, em)
+// journalLen counts a /debug/events document's event rows.
+func journalLen(events map[string]any) float64 {
+	n := 0
+	for _, e := range anyList(events, "events") {
+		if _, ok := e.(map[string]any); ok {
+			n++
 		}
 	}
-	return out
+	return float64(n)
 }
 
 // anyList reads doc[key] as a list, nil-safe on every level.

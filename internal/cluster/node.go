@@ -82,17 +82,11 @@ func (c Config) withDefaults() (Config, error) {
 
 // Local is the node's own serving core — implemented by
 // *service.Server. The node mounts its handler under the cluster
-// endpoints, reads its snapshots for the self entry of aggregated
-// views, and stores/serves replicated response bytes through its
+// endpoints and stores/serves replicated response bytes through its
 // preencoded-response cache — one cache for both the local fast path
 // and the replica tier.
 type Local interface {
 	Handler() http.Handler
-	MetricsJSON() []byte
-	HistoryJSON() []byte
-	RequestsJSON() []byte
-	HealthJSON() []byte
-	EventsJSON() []byte
 	RespCache() *service.RespCache
 }
 
@@ -150,7 +144,7 @@ func New(cfg Config) (*Node, error) {
 }
 
 // Bind attaches the node's serving core. Must be called once, before
-// Handler or any aggregated view.
+// Handler.
 func (n *Node) Bind(local Local) { n.local = local }
 
 // Self reports this node's advertised URL.
@@ -420,14 +414,28 @@ func (n *Node) pushReplica(member, key string, body []byte, reqID string) {
 // and optionally decodes a JSON response into out. hdrs are extra
 // header key/value pairs; empty values are skipped.
 func (n *Node) postJSON(ctx context.Context, url string, body map[string]any, out any, hdrs ...string) error {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ControlTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url,
-		bytes.NewReader(service.MarshalDeterministic(body)))
-	if err != nil {
+	raw, err := n.call(ctx, http.MethodPost, url, service.MarshalDeterministic(body), hdrs...)
+	if err != nil || out == nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	// Lenient on responses: peers may grow fields this version does not
+	// know; strictness is for requests we serve, not answers we read.
+	return json.Unmarshal(raw, out)
+}
+
+// call issues one control-plane request (a JSON body when body is
+// non-nil) and returns the answer's body. Any status but 200 is an
+// error.
+func (n *Node) call(ctx context.Context, method, url string, body []byte, hdrs ...string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.ControlTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	for i := 0; i+1 < len(hdrs); i += 2 {
 		if hdrs[i+1] != "" {
 			req.Header.Set(hdrs[i], hdrs[i+1])
@@ -435,23 +443,35 @@ func (n *Node) postJSON(ctx context.Context, url string, body map[string]any, ou
 	}
 	resp, err := n.cfg.Client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s answered %d: %s", url, resp.StatusCode, bytes.TrimSpace(raw))
+		return nil, fmt.Errorf("%s answered %d: %s", url, resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	if out != nil {
-		// Lenient on responses: peers may grow fields this version does
-		// not know; strictness is for requests we serve, not answers we
-		// read.
-		return json.Unmarshal(raw, out)
+	return raw, nil
+}
+
+// FanOut implements service.ClusterRouter: path's local-scope body from
+// every member in sorted order — self's is the body passed in, never a
+// request to itself, so an aggregated view can neither recurse nor
+// count itself — leaving out each peer that cannot be reached or
+// answers non-200.
+func (n *Node) FanOut(ctx context.Context, path string, self []byte) service.Fanout {
+	members := n.Members()
+	bodies := make(map[string][]byte, len(members))
+	for _, m := range members {
+		if m == n.self {
+			bodies[m] = self
+		} else if raw, err := n.call(ctx, http.MethodGet, m+path, nil); err == nil {
+			bodies[m] = raw
+		}
 	}
-	return nil
+	return service.Fanout{Self: n.self, Members: members, Bodies: bodies}
 }
 
 // Stats is a snapshot of the node's cluster counters.

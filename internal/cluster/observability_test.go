@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -168,6 +169,61 @@ func TestClusterHistoryAggregateUnreachableMember(t *testing.T) {
 	cdoc := fetchRequests(t, tc.urls[0], "?scope=cluster")
 	if len(cdoc.Unreachable) != 1 {
 		t.Fatalf("/debug/requests unreachable = %v, want the dead member", cdoc.Unreachable)
+	}
+}
+
+// A member that answers non-200 is unreachable, not merged: its error
+// body — even one shaped like a local body — never lands under nodes
+// or in a merged timeline.
+func TestClusterFanOutNon200MemberUnreachable(t *testing.T) {
+	tc := namedCluster(t, 2, func(_ int, ccfg *Config, _ *service.Config) {
+		ccfg.Replicas = -1
+	})
+	boom := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":"boom","events":[{"unix_ms":1,"seq":1,"type":"bogus"}]}`))
+	}))
+	t.Cleanup(boom.Close)
+	tc.nodes[0].AddMember(boom.URL)
+
+	get := func(path string, into any) {
+		t.Helper()
+		resp, err := http.Get(tc.urls[0] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if err := json.Unmarshal(b, into); err != nil {
+			t.Fatalf("%s: %v\n%s", path, err, b)
+		}
+	}
+	var metrics struct {
+		Nodes       map[string]any `json:"nodes"`
+		Unreachable []string       `json:"unreachable"`
+	}
+	get("/metrics?scope=cluster", &metrics)
+	if len(metrics.Unreachable) != 1 || metrics.Unreachable[0] != boom.URL {
+		t.Fatalf("metrics unreachable = %v, want the 500 member", metrics.Unreachable)
+	}
+	if _, ok := metrics.Nodes[boom.URL]; ok || len(metrics.Nodes) != 2 {
+		t.Fatalf("metrics nodes = %v, want the two healthy members only", metrics.Nodes)
+	}
+	var events struct {
+		Events []struct {
+			Node string `json:"node"`
+		} `json:"events"`
+		Unreachable []string `json:"unreachable"`
+	}
+	get("/debug/events?scope=cluster", &events)
+	if len(events.Unreachable) != 1 || events.Unreachable[0] != boom.URL {
+		t.Fatalf("events unreachable = %v, want the 500 member", events.Unreachable)
+	}
+	for _, e := range events.Events {
+		if e.Node == boom.URL {
+			t.Fatalf("merged events carry the 500 member's body: %+v", events.Events)
+		}
 	}
 }
 

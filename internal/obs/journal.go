@@ -25,6 +25,8 @@ import (
 	"log/slog"
 	"sync"
 	"time"
+
+	"repro/internal/ringbuf"
 )
 
 // Event type names recorded by the subsystems wired into the journal.
@@ -55,9 +57,7 @@ type Event struct {
 // checking.
 type Journal struct {
 	mu     sync.Mutex
-	buf    []Event
-	next   int
-	full   bool
+	ring   *ringbuf.Ring[Event]
 	seq    int64
 	node   string
 	logger *slog.Logger
@@ -72,7 +72,7 @@ func NewJournal(capacity int, logger *slog.Logger, node string) *Journal {
 		capacity = 256
 	}
 	return &Journal{
-		buf:    make([]Event, capacity),
+		ring:   ringbuf.New[Event](capacity),
 		node:   node,
 		logger: logger,
 		now:    time.Now,
@@ -106,12 +106,7 @@ func (j *Journal) Record(typ, subject, detail string) {
 		Subject: subject,
 		Detail:  detail,
 	}
-	j.buf[j.next] = ev
-	j.next++
-	if j.next == len(j.buf) {
-		j.next = 0
-		j.full = true
-	}
+	j.ring.Push(ev)
 	lg := j.logger
 	node := j.node
 	j.mu.Unlock()
@@ -133,12 +128,7 @@ func (j *Journal) Events() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.full {
-		return append([]Event(nil), j.buf[:j.next]...)
-	}
-	out := make([]Event, 0, len(j.buf))
-	out = append(out, j.buf[j.next:]...)
-	return append(out, j.buf[:j.next]...)
+	return j.ring.Slice()
 }
 
 // Capacity reports the ring size (0 for a nil journal).
@@ -146,5 +136,5 @@ func (j *Journal) Capacity() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.buf)
+	return j.ring.Cap()
 }

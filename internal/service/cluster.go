@@ -89,15 +89,6 @@ type ClusterRouter interface {
 	// MetricsSnapshot reports the node's cluster counters as a
 	// deterministically encodable tree (merged into GET /metrics).
 	MetricsSnapshot() map[string]any
-	// AggregateMetrics fans GET /metrics out to every member and merges
-	// the snapshots with deterministic ordering (sorted member URLs).
-	AggregateMetrics(ctx context.Context) []byte
-	// AggregateHistory fans GET /metrics/history out to every member
-	// and merges the sampled points, ordered by (unix_ms, node).
-	AggregateHistory(ctx context.Context) []byte
-	// AggregateRequests fans GET /debug/requests out to every member
-	// and merges the recent-request rows, ordered by (unix_ms, node).
-	AggregateRequests(ctx context.Context) []byte
 	// Epoch reports the membership epoch: how many membership changes
 	// this node has applied since start. /healthz echoes it so an
 	// operator can spot a node whose view of the ring has diverged.
@@ -107,12 +98,11 @@ type ClusterRouter interface {
 	// (the peer's last state transition) so the cluster merge orders
 	// entries like every other timeline. Nil while no prober runs.
 	HealthSnapshot() []map[string]any
-	// AggregateHealth fans GET /debug/health out to every member and
-	// merges the peer entries, ordered by (unix_ms, node, seq).
-	AggregateHealth(ctx context.Context) []byte
-	// AggregateEvents fans GET /debug/events out to every member and
-	// merges the journal entries, ordered by (unix_ms, node, seq).
-	AggregateEvents(ctx context.Context) []byte
+	// FanOut collects path's local-scope body from every member: self
+	// contributes the bytes passed in, peers answer an HTTP GET, and a
+	// peer that cannot be reached or answers non-200 is left out of
+	// Bodies. The ?scope=cluster views merge the result.
+	FanOut(ctx context.Context, path string, self []byte) Fanout
 }
 
 // checkHops parses the request's forwarding hop count and rejects the
@@ -129,7 +119,7 @@ func (s *Server) checkHops(w http.ResponseWriter, r *http.Request) (hops int, re
 		return 0, true
 	}
 	if n >= MaxHops {
-		s.metrics.add(&s.metrics.rejectedHops, 1)
+		s.metrics.inc(fRejectedHops)
 		writeErr(w, http.StatusLoopDetected, "forwarding hop limit exceeded",
 			map[string]any{"hops": n, "max_hops": MaxHops})
 		return n, true

@@ -80,6 +80,7 @@ type fakeRouter struct {
 	serveable func(key string) bool // nil means never serveable from cache
 	routed    []ComputeSpec
 	offered   map[string][]byte
+	fannedOut []string // paths passed to FanOut
 }
 
 func (f *fakeRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
@@ -116,30 +117,35 @@ func (f *fakeRouter) MetricsSnapshot() map[string]any {
 	return map[string]any{"fake": true}
 }
 
-func (f *fakeRouter) AggregateMetrics(context.Context) []byte {
-	return []byte(`{"aggregated":"metrics"}`)
-}
-
-func (f *fakeRouter) AggregateHistory(context.Context) []byte {
-	return []byte(`{"aggregated":"history"}`)
-}
-
-func (f *fakeRouter) AggregateRequests(context.Context) []byte {
-	return []byte(`{"aggregated":"requests"}`)
-}
-
 func (f *fakeRouter) Epoch() int64 { return 42 }
 
 func (f *fakeRouter) HealthSnapshot() []map[string]any {
 	return []map[string]any{{"peer": "http://fake:1", "state": "healthy", "unix_ms": int64(0)}}
 }
 
-func (f *fakeRouter) AggregateHealth(context.Context) []byte {
-	return []byte(`{"aggregated":"health"}`)
+// FanOut answers for three members: self with the body passed in, one
+// peer with a marker body naming the path, and one silent peer.
+func (f *fakeRouter) FanOut(_ context.Context, path string, self []byte) Fanout {
+	f.mu.Lock()
+	f.fannedOut = append(f.fannedOut, path)
+	f.mu.Unlock()
+	return Fanout{
+		Self:    "http://fake:0",
+		Members: []string{"http://fake:0", "http://fake:1", "http://fake:2"},
+		Bodies: map[string][]byte{
+			"http://fake:0": self,
+			"http://fake:1": []byte(`{"aggregated":"` + path + `"}`),
+		},
+	}
 }
 
-func (f *fakeRouter) AggregateEvents(context.Context) []byte {
-	return []byte(`{"aggregated":"events"}`)
+func (f *fakeRouter) lastFanOut() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.fannedOut) == 0 {
+		return ""
+	}
+	return f.fannedOut[len(f.fannedOut)-1]
 }
 
 func (f *fakeRouter) routedSpecs() []ComputeSpec {
@@ -225,18 +231,17 @@ func TestClusterRouterHook(t *testing.T) {
 		}
 	}
 
-	// scope=cluster dispatches to the aggregated views.
-	if code, body := get(t, ts.URL+"/metrics?scope=cluster"); code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(body), []byte(`{"aggregated":"metrics"}`)) {
-		t.Fatalf("metrics scope=cluster: %d %q", code, body)
-	}
-	if code, body := get(t, ts.URL+"/metrics/history?scope=cluster"); code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(body), []byte(`{"aggregated":"history"}`)) {
-		t.Fatalf("history scope=cluster: %d %q", code, body)
-	}
-	if code, body := get(t, ts.URL+"/debug/health?scope=cluster"); code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(body), []byte(`{"aggregated":"health"}`)) {
-		t.Fatalf("health scope=cluster: %d %q", code, body)
-	}
-	if code, body := get(t, ts.URL+"/debug/events?scope=cluster"); code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(body), []byte(`{"aggregated":"events"}`)) {
-		t.Fatalf("events scope=cluster: %d %q", code, body)
+	// scope=cluster dispatches to the router's fan-out and merges what it
+	// returns: the silent member is reported unreachable, and /metrics
+	// carries the peer's body under its member URL.
+	for _, path := range []string{"/metrics", "/metrics/history", "/debug/requests", "/debug/health", "/debug/events"} {
+		code, body := get(t, ts.URL+path+"?scope=cluster")
+		if code != http.StatusOK || fr.lastFanOut() != path || !bytes.Contains(body, []byte(`"unreachable":["http://fake:2"]`)) {
+			t.Fatalf("%s scope=cluster: %d %q (fanned out %q)", path, code, body, fr.lastFanOut())
+		}
+		if path == "/metrics" && !bytes.Contains(body, []byte(`"http://fake:1":{"aggregated":"/metrics"}`)) {
+			t.Fatalf("metrics scope=cluster lost the peer body: %s", body)
+		}
 	}
 
 	// The healthz body echoes the router's membership epoch.

@@ -67,3 +67,56 @@ func FuzzSolveRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzClusterMerge feeds arbitrary member bodies — a peer's body is
+// untrusted bytes — to both ?scope=cluster merges. Neither may panic;
+// each must emit valid JSON, the same bytes for the same input, and
+// never list a member both as merged and as unreachable. An empty body
+// stands for a member the fan-out could not reach.
+func FuzzClusterMerge(f *testing.F) {
+	f.Add([]byte(`{"serving":{"requests_total":3},"events":[{"unix_ms":5,"seq":1}]}`),
+		[]byte(`{"events":[{"unix_ms":5},{"unix_ms":"x"},7],"resp_cache":{"hits":2}}`), []byte{})
+	f.Add([]byte(`null`), []byte(`[1,2]`), []byte(`{"gtpn_cache":{"hits":1.7e308}}`))
+	f.Add([]byte(`{"serving":{"errors":1.7e308}}`), []byte(`{"serving":{"errors":1.7e308}}`), []byte(`{"events":null}`))
+	members := []string{"http://a", "http://b", "http://c"}
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+		bodies := map[string][]byte{}
+		for i, body := range [][]byte{a, b, c} {
+			if len(body) > 0 {
+				bodies[members[i]] = body
+			}
+		}
+		fo := Fanout{Self: members[0], Members: members, Bodies: bodies}
+		for name, merge := range map[string]func() []byte{
+			"metrics": func() []byte { return mergeMetrics(fo, 7) },
+			"events":  func() []byte { return mergeTimelines(fo, "events") },
+		} {
+			out := merge()
+			if !json.Valid(out) {
+				t.Fatalf("%s merge emitted invalid JSON: %s", name, out)
+			}
+			if again := merge(); !bytes.Equal(out, again) {
+				t.Fatalf("%s merge not deterministic:\n%s\nvs\n%s", name, out, again)
+			}
+			var doc struct {
+				Nodes  map[string]json.RawMessage `json:"nodes"`
+				Events []struct {
+					Node string `json:"node"`
+				} `json:"events"`
+				Unreachable []string `json:"unreachable"`
+			}
+			if err := json.Unmarshal(out, &doc); err != nil {
+				t.Fatalf("%s merge: %v: %s", name, err, out)
+			}
+			for _, u := range doc.Unreachable {
+				_, merged := doc.Nodes[u]
+				for _, e := range doc.Events {
+					merged = merged || e.Node == u
+				}
+				if merged {
+					t.Fatalf("%s merge lists %s as merged and unreachable: %s", name, u, out)
+				}
+			}
+		}
+	})
+}

@@ -1,128 +1,47 @@
 package service
 
-import (
-	"net/http"
-	"sync"
-	"time"
+import "time"
 
-	"repro/internal/gtpn"
-)
-
-// HistoryPoint is one timestamped observation of the daemon's headline
-// counters — the fields an operator trends over minutes, not the full
-// per-route breakdown.
-type HistoryPoint struct {
-	UnixMilli        int64
-	RequestsTotal    int64
-	InFlight         int64
-	QueueDepth       int64
-	Coalesced        int64
-	ClusterServed    int64
-	Leaders          int64
-	RejectedBusy     int64
-	RejectedDraining int64
-	Errors           int64
-	CacheHits        int64
-	CacheMisses      int64
-}
-
-// historyRing is a fixed-capacity in-process time series: the last
-// `cap(buf)` sampled points, oldest evicted first. It trades durability
-// for zero dependencies — enough to answer "what happened over the last
-// hour" without a scrape stack.
-type historyRing struct {
-	mu   sync.Mutex
-	buf  []HistoryPoint
-	next int // index of the next write
-	full bool
-}
-
-func newHistoryRing(capacity int) *historyRing {
-	return &historyRing{buf: make([]HistoryPoint, capacity)}
-}
-
-func (h *historyRing) add(p HistoryPoint) {
-	h.mu.Lock()
-	h.buf[h.next] = p
-	h.next++
-	if h.next == len(h.buf) {
-		h.next = 0
-		h.full = true
-	}
-	h.mu.Unlock()
-}
-
-// points returns the retained samples, oldest first.
-func (h *historyRing) points() []HistoryPoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.full {
-		return append([]HistoryPoint(nil), h.buf[:h.next]...)
-	}
-	out := make([]HistoryPoint, 0, len(h.buf))
-	out = append(out, h.buf[h.next:]...)
-	return append(out, h.buf[:h.next]...)
+// historyPoint is one timestamped reading of the counter table; the
+// families flagged sampled are what /metrics/history reports.
+type historyPoint struct {
+	unixMS int64
+	v      values
 }
 
 // SampleMetrics appends one observation of the current counters to the
-// in-process history ring, timestamped at t. ipcd calls this on a
-// ticker; tests call it with fixed times for determinism.
+// in-process history ring — the last HistorySize samples, oldest
+// evicted first — timestamped at t. ipcd calls this on a ticker; tests
+// call it with fixed times for determinism.
 func (s *Server) SampleMetrics(t time.Time) {
-	s.metrics.mu.Lock()
-	p := HistoryPoint{
-		UnixMilli:        t.UnixMilli(),
-		RequestsTotal:    s.metrics.requestsTotal,
-		InFlight:         s.metrics.inFlight,
-		Coalesced:        s.metrics.coalesced,
-		ClusterServed:    s.metrics.clusterServed,
-		Leaders:          s.metrics.leaders,
-		RejectedBusy:     s.metrics.rejectedBusy,
-		RejectedDraining: s.metrics.rejectedDrain,
-		Errors:           s.metrics.errors,
-	}
-	s.metrics.mu.Unlock()
-	p.QueueDepth = s.queueDepth()
-	cs := gtpn.SolveCacheStats()
-	p.CacheHits = int64(cs.Hits)
-	p.CacheMisses = int64(cs.Misses)
-	s.history.add(p)
+	p := historyPoint{unixMS: t.UnixMilli(), v: s.readMetrics().v}
+	s.historyMu.Lock()
+	s.history.Push(p)
+	s.historyMu.Unlock()
 }
 
-// handleMetricsHistory reports the retained samples, oldest first, as
-// deterministic JSON. ?scope=cluster fans out to every cluster member
-// and merges the sampled points ordered by (unix_ms, node).
-func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateHistory(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.HistoryJSON())
-}
-
-// HistoryJSON renders this node's own /metrics/history body — the local
-// scope. The cluster tier calls it for the self entry of an aggregated
-// view.
-func (s *Server) HistoryJSON() []byte {
-	pts := s.history.points()
+// historyJSON renders this node's own /metrics/history body — the
+// local scope — oldest sample first.
+func (s *Server) historyJSON() []byte {
+	s.historyMu.Lock()
+	pts, capacity := s.history.Slice(), s.history.Cap()
+	s.historyMu.Unlock()
 	list := make([]any, 0, len(pts))
 	for _, p := range pts {
-		list = append(list, map[string]any{
-			"unix_ms":           p.UnixMilli,
-			"requests_total":    p.RequestsTotal,
-			"in_flight":         p.InFlight,
-			"queue_depth":       p.QueueDepth,
-			"coalesced":         p.Coalesced,
-			"cluster_served":    p.ClusterServed,
-			"leaders":           p.Leaders,
-			"rejected_busy":     p.RejectedBusy,
-			"rejected_draining": p.RejectedDraining,
-			"errors":            p.Errors,
-			"cache_hits":        p.CacheHits,
-			"cache_misses":      p.CacheMisses,
-		})
+		point := map[string]any{"unix_ms": p.unixMS}
+		for i := range families {
+			if f := &families[i]; f.flags&sampled != 0 {
+				key := f.key
+				if f.historyKey != "" {
+					key = f.historyKey
+				}
+				point[key] = p.v[i]
+			}
+		}
+		list = append(list, point)
 	}
 	return marshalDet(map[string]any{
-		"capacity": int64(len(s.history.buf)),
+		"capacity": int64(capacity),
 		"points":   list,
 	})
 }

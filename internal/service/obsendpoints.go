@@ -7,29 +7,60 @@ import (
 	"repro/internal/obs"
 )
 
-// The obs subsystem's serving surface: GET /debug/health (the peer
-// health map the cluster prober maintains), GET /debug/events (the
-// structured event journal), and the SLO burn-rate section of
-// GET /metrics. Both debug endpoints are drain-exempt and support
-// ?scope=cluster, merged by the cluster tier on the same
-// (unix_ms, node, seq) order every merged timeline here uses.
+// The observability GET routes. Each is one row of obsRoutes: its path,
+// its route name, the list its ?scope=cluster view merges, and its
+// local renderer. Every row is drain-exempt, draws request IDs from the
+// observability sequence, and is never traced or kept in the request
+// ring; ?scope=cluster fans the path out through the cluster tier and
+// merges the members' local bodies (see fanout.go).
 
-// handleDebugHealth reports this node's view of its peers' health.
-// Single-node operation has no peers; the endpoint still answers with
-// an empty list so pollers need not care about the deployment shape.
-func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateHealth(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.HealthJSON())
+// obsRoute is one observability GET endpoint.
+type obsRoute struct {
+	path string
+	name string
+	// listKey names the timestamped list a cluster view merges on
+	// (unix_ms, node, seq); empty for /metrics, whose cluster view is the
+	// nodes-and-totals merge.
+	listKey string
+	local   func(*Server) []byte // this node's own body
 }
 
-// HealthJSON renders this node's own /debug/health body — the local
-// scope. The cluster tier calls it for the self entry of an aggregated
-// view. Each peer entry carries unix_ms (its last state transition) so
+var obsRoutes = [...]obsRoute{
+	{"/metrics", "metrics", "", (*Server).MetricsJSON},
+	{"/metrics/history", "history", "points", (*Server).historyJSON},
+	{"/debug/requests", "requests", "requests", (*Server).requestsJSON},
+	{"/debug/health", "health", "peers", (*Server).healthJSON},
+	{"/debug/events", "events", "events", (*Server).eventsJSON},
+}
+
+// serveObs answers one observability route: the local body, or with
+// ?scope=cluster the merged view of every member. /metrics additionally
+// serves the Prometheus exposition under ?format=prometheus.
+func (s *Server) serveObs(o obsRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		switch {
+		case o.path == "/metrics" && q.Get("format") == "prometheus":
+			s.serveExposition(w, r)
+		case q.Get("scope") == "cluster" && s.cfg.Cluster != nil:
+			f := s.cfg.Cluster.FanOut(r.Context(), o.path, o.local(s))
+			if o.listKey == "" {
+				writeDet(w, http.StatusOK, nil, mergeMetrics(f, s.cfg.Cluster.Epoch()))
+			} else {
+				writeDet(w, http.StatusOK, nil, mergeTimelines(f, o.listKey))
+			}
+		default:
+			writeDet(w, http.StatusOK, nil, o.local(s))
+		}
+	}
+}
+
+// healthJSON renders this node's own /debug/health body: its view of
+// its peers' health. Single-node operation has no peers; the body still
+// carries an empty list so pollers need not care about the deployment
+// shape. Each peer entry carries unix_ms (its last state transition) so
 // the cluster merge orders entries like every other timeline.
-func (s *Server) HealthJSON() []byte {
+func (s *Server) healthJSON() []byte {
 	peers := make([]any, 0)
 	var epoch int64
 	if s.cfg.Cluster != nil {
@@ -45,20 +76,9 @@ func (s *Server) HealthJSON() []byte {
 	})
 }
 
-// handleDebugEvents reports the node's structured event journal,
-// oldest first.
-func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateEvents(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.EventsJSON())
-}
-
-// EventsJSON renders this node's own /debug/events body — the local
-// scope. The cluster tier calls it for the self entry of an aggregated
-// view.
-func (s *Server) EventsJSON() []byte {
+// eventsJSON renders this node's own /debug/events body: the
+// structured event journal, oldest first.
+func (s *Server) eventsJSON() []byte {
 	evs := s.cfg.Journal.Events()
 	list := make([]any, 0, len(evs))
 	for _, ev := range evs {

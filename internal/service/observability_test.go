@@ -3,9 +3,11 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,4 +154,46 @@ func TestRequestTraceSampling(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The history and request rings are pushed on the sampling and request
+// paths while their endpoints copy them out; run under -race this
+// hammers every pairing of the two.
+func TestObservabilityRingsConcurrent(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2, HistorySize: 4, RecentRequests: 4})
+	// call runs off the test goroutine, so it reports with t.Error.
+	call := func(method, path, body string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s returned %d", method, path, resp.StatusCode)
+		}
+	}
+	stop := time.Now().Add(300 * time.Millisecond)
+	var wg sync.WaitGroup
+	for _, fn := range []func(i int){
+		func(int) { call(http.MethodPost, "/v1/solve", solveBody) },
+		func(i int) { s.SampleMetrics(time.UnixMilli(int64(i))) },
+		func(int) { call(http.MethodGet, "/debug/requests", "") },
+		func(int) { call(http.MethodGet, "/metrics/history", "") },
+	} {
+		wg.Add(1)
+		go func(fn func(int)) {
+			defer wg.Done()
+			for i := 0; time.Now().Before(stop); i++ {
+				fn(i)
+			}
+		}(fn)
+	}
+	wg.Wait()
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/gtpn"
 	"repro/internal/obs"
 )
 
@@ -69,71 +68,28 @@ func (s *Server) WriteOpenMetrics(w io.Writer) error {
 }
 
 func (s *Server) writeExposition(w io.Writer, om bool) error {
-	// Copy everything rendered below under the metrics lock, so the
-	// exposition is one coherent snapshot.
-	s.metrics.mu.Lock()
-	requestsTotal := s.metrics.requestsTotal
-	inFlight := s.metrics.inFlight
-	coalesced := s.metrics.coalesced
-	clusterServed := s.metrics.clusterServed
-	leaders := s.metrics.leaders
-	rejectedBusy := s.metrics.rejectedBusy
-	rejectedDrain := s.metrics.rejectedDrain
-	rejectedHops := s.metrics.rejectedHops
-	errs := s.metrics.errors
-	byRoute := make(map[string]int64, len(s.metrics.byRoute))
-	for r, n := range s.metrics.byRoute {
-		byRoute[r] = n
-	}
-	hists := make(map[string]*Histogram, len(s.metrics.latency))
-	for r, h := range s.metrics.latency {
-		hists[r] = h.clone()
-	}
-	s.metrics.mu.Unlock()
-	queueDepth := s.queueDepth()
-	cs := gtpn.SolveCacheStats()
-	es := gtpn.SolverEngineStats()
-	rc := s.respCache.Stats()
-
-	routes := make([]string, 0, len(byRoute))
-	for r := range byRoute {
+	rd := s.readMetrics() // one coherent snapshot
+	routes := make([]string, 0, len(rd.byRoute))
+	for r := range rd.byRoute {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
 
 	p := &promWriter{w: w, om: om}
-	p.family("ipcd_requests_total", "counter", requestsTotal)
-	p.typeLine("ipcd_route_requests_total", "counter")
-	for _, r := range routes {
-		p.line(`ipcd_route_requests_total{route="` + r + `"} ` + strconv.FormatInt(byRoute[r], 10))
+	for i := range families {
+		f := &families[i]
+		kind := "counter"
+		if f.flags&gauge != 0 {
+			kind = "gauge"
+		}
+		p.family(f.promName(), kind, rd.v[i])
+		if i == fRequestsTotal {
+			p.typeLine("ipcd_route_requests_total", "counter")
+			for _, r := range routes {
+				p.line(`ipcd_route_requests_total{route="` + r + `"} ` + strconv.FormatInt(rd.byRoute[r], 10))
+			}
+		}
 	}
-	p.family("ipcd_in_flight", "gauge", inFlight)
-	p.family("ipcd_queue_depth", "gauge", queueDepth)
-	p.family("ipcd_coalesced_total", "counter", coalesced)
-	p.family("ipcd_cluster_served_total", "counter", clusterServed)
-	p.family("ipcd_leaders_total", "counter", leaders)
-	p.family("ipcd_rejected_busy_total", "counter", rejectedBusy)
-	p.family("ipcd_rejected_draining_total", "counter", rejectedDrain)
-	p.family("ipcd_rejected_hops_total", "counter", rejectedHops)
-	p.family("ipcd_errors_total", "counter", errs)
-	p.family("ipcd_resp_cache_hits_total", "counter", rc.Hits)
-	p.family("ipcd_resp_cache_misses_total", "counter", rc.Misses)
-	p.family("ipcd_resp_cache_evictions_total", "counter", rc.Evictions)
-	p.family("ipcd_resp_cache_stores_total", "counter", rc.Stores)
-	p.family("ipcd_resp_cache_trace_bypass_total", "counter", rc.TraceBypass)
-	p.family("ipcd_resp_cache_entries", "gauge", rc.Entries)
-	p.family("ipcd_resp_cache_bytes", "gauge", rc.Bytes)
-	p.family("ipcd_gtpn_cache_hits_total", "counter", int64(cs.Hits))
-	p.family("ipcd_gtpn_cache_misses_total", "counter", int64(cs.Misses))
-	p.family("ipcd_gtpn_cache_bypassed_total", "counter", int64(cs.Bypassed))
-	p.family("ipcd_gtpn_cache_entries", "gauge", int64(cs.Entries))
-	p.family("ipcd_gtpn_engine_graphs_built_total", "counter", int64(es.GraphsBuilt))
-	p.family("ipcd_gtpn_engine_states_explored_total", "counter", int64(es.StatesExplored))
-	p.family("ipcd_gtpn_engine_edges_built_total", "counter", int64(es.EdgesBuilt))
-	p.family("ipcd_gtpn_engine_parallel_class_solves_total", "counter", int64(es.ParallelClassSolves))
-	p.family("ipcd_gtpn_engine_graphs_reused_total", "counter", int64(es.GraphsReused))
-	p.family("ipcd_gtpn_engine_warm_starts_total", "counter", int64(es.WarmStarts))
-	p.family("ipcd_gtpn_engine_stationary_sweeps_total", "counter", int64(es.StationarySweeps))
 
 	// SLO burn rates: per-objective, per-window gauges. The values are
 	// rolling-window aggregates, not monotonic counters, so every family
@@ -172,7 +128,7 @@ func (s *Server) writeExposition(w io.Writer, om bool) error {
 	// encoding; the bounds are package service's fixed microsecond bounds.
 	p.line("# TYPE ipcd_request_duration_us histogram")
 	for _, r := range routes {
-		h := hists[r]
+		h := rd.latency[r]
 		if h == nil {
 			continue
 		}

@@ -3,7 +3,6 @@ package service
 import (
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -176,59 +175,12 @@ func recordOf(w http.ResponseWriter) *requestRecord {
 	return nil
 }
 
-// requestRing retains the records of the last cap(buf) completed
-// requests, oldest evicted first — same shape as the metrics history
-// ring, one row per request instead of per sample.
-type requestRing struct {
-	mu   sync.Mutex
-	buf  []requestRecord
-	next int
-	full bool
-}
-
-func newRequestRing(capacity int) *requestRing {
-	return &requestRing{buf: make([]requestRecord, capacity)}
-}
-
-func (g *requestRing) add(rec *requestRecord) {
-	g.mu.Lock()
-	g.buf[g.next] = *rec
-	g.next++
-	if g.next == len(g.buf) {
-		g.next = 0
-		g.full = true
-	}
-	g.mu.Unlock()
-}
-
-// records returns the retained rows, oldest first.
-func (g *requestRing) records() []requestRecord {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.full {
-		return append([]requestRecord(nil), g.buf[:g.next]...)
-	}
-	out := make([]requestRecord, 0, len(g.buf))
-	out = append(out, g.buf[g.next:]...)
-	return append(out, g.buf[:g.next]...)
-}
-
-// handleDebugRequests reports the recent-request ring, oldest first.
-// ?scope=cluster fans out to every cluster member and merges the rows
-// ordered by (unix_ms, node), like /metrics/history.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateRequests(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.RequestsJSON())
-}
-
-// RequestsJSON renders this node's own /debug/requests body — the local
-// scope. The cluster tier calls it for the self entry of an aggregated
-// view.
-func (s *Server) RequestsJSON() []byte {
-	recs := s.requests.records()
+// requestsJSON renders this node's own /debug/requests body — the local
+// scope — oldest request first.
+func (s *Server) requestsJSON() []byte {
+	s.requestsMu.Lock()
+	recs, capacity := s.requests.Slice(), s.requests.Cap()
+	s.requestsMu.Unlock()
 	list := make([]any, 0, len(recs))
 	for i := range recs {
 		rec := &recs[i]
@@ -248,7 +200,7 @@ func (s *Server) RequestsJSON() []byte {
 		})
 	}
 	return marshalDet(map[string]any{
-		"capacity": int64(len(s.requests.buf)),
+		"capacity": int64(capacity),
 		"requests": list,
 	})
 }

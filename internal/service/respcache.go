@@ -1,10 +1,6 @@
 package service
 
-import (
-	"sync"
-
-	"repro/internal/counters"
-)
+import "sync"
 
 // The preencoded-response cache. Every response body is deterministic
 // JSON — identical requests yield byte-identical bodies — so a body,
@@ -26,9 +22,8 @@ import (
 //     indexes; replica pushes only in byKey, so a replica's hit is
 //     always observed (and counted) by the routing layer.
 //
-// Stats live in an internal/counters registry updated under the cache
-// mutex — nil-safe handles, allocation-free updates, exactly the
-// discipline the hardware counters use.
+// The counters are plain integers updated under the cache mutex, so
+// counting on the hit path never allocates.
 
 // solveParams is a solve point's identity as a comparable value: the
 // validated request fields, nothing derived.
@@ -91,13 +86,7 @@ type RespCache struct {
 	bySolve    map[solveParams]*respEntry
 	bySim      map[simParams]*respEntry
 
-	hits        *counters.Counter
-	misses      *counters.Counter
-	evictions   *counters.Counter
-	stores      *counters.Counter
-	traceBypass *counters.Counter
-	entries     *counters.Gauge
-	bytes       *counters.Gauge
+	counts RespCacheStats // the counters; Stats fills Entries and Bytes
 
 	// onHighWater, when set, fires (outside the mutex) each time
 	// curBytes crosses nextHighWater; the mark then doubles, so a
@@ -107,20 +96,12 @@ type RespCache struct {
 }
 
 func newRespCache(maxEntries int, maxBytes int64) *RespCache {
-	reg := counters.New()
 	return &RespCache{
-		maxEntries:  maxEntries,
-		maxBytes:    maxBytes,
-		byKey:       map[string]*respEntry{},
-		bySolve:     map[solveParams]*respEntry{},
-		bySim:       map[simParams]*respEntry{},
-		hits:        reg.Counter("resp_cache.hits"),
-		misses:      reg.Counter("resp_cache.misses"),
-		evictions:   reg.Counter("resp_cache.evictions"),
-		stores:      reg.Counter("resp_cache.stores"),
-		traceBypass: reg.Counter("resp_cache.trace_bypass"),
-		entries:     reg.Gauge("resp_cache.entries"),
-		bytes:       reg.Gauge("resp_cache.bytes"),
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		byKey:      map[string]*respEntry{},
+		bySolve:    map[solveParams]*respEntry{},
+		bySim:      map[simParams]*respEntry{},
 	}
 }
 
@@ -134,7 +115,7 @@ func (c *RespCache) getSolve(p solveParams) (key string, body []byte, ok bool) {
 	c.mu.Lock()
 	e := c.bySolve[p]
 	if e == nil {
-		c.misses.Inc()
+		c.counts.Misses++
 		c.mu.Unlock()
 		return "", nil, false
 	}
@@ -152,7 +133,7 @@ func (c *RespCache) getSim(p simParams) (key string, body []byte, ok bool) {
 	c.mu.Lock()
 	e := c.bySim[p]
 	if e == nil {
-		c.misses.Inc()
+		c.counts.Misses++
 		c.mu.Unlock()
 		return "", nil, false
 	}
@@ -171,7 +152,7 @@ func (c *RespCache) TraceBypass() {
 		return
 	}
 	c.mu.Lock()
-	c.traceBypass.Inc()
+	c.counts.TraceBypass++
 	c.mu.Unlock()
 }
 
@@ -181,7 +162,7 @@ func (c *RespCache) served() {
 		return
 	}
 	c.mu.Lock()
-	c.hits.Inc()
+	c.counts.Hits++
 	c.mu.Unlock()
 }
 
@@ -200,7 +181,7 @@ func (c *RespCache) GetKey(key string) ([]byte, bool) {
 		return nil, false
 	}
 	c.moveToFrontLocked(e)
-	c.hits.Inc()
+	c.counts.Hits++
 	body := e.body
 	c.mu.Unlock()
 	return body, true
@@ -285,13 +266,11 @@ func (c *RespCache) put(e *respEntry) bool {
 	}
 	c.pushFrontLocked(e)
 	c.curBytes += int64(len(e.body))
-	c.stores.Inc()
+	c.counts.Stores++
 	for (c.maxEntries > 0 && len(c.byKey) > c.maxEntries) ||
 		(c.maxBytes > 0 && c.curBytes > c.maxBytes) {
 		c.evictLocked()
 	}
-	c.entries.Set(int64(len(c.byKey)))
-	c.bytes.Set(c.curBytes)
 	var crossed int64
 	if c.onHighWater != nil && c.nextHighWater > 0 && c.curBytes >= c.nextHighWater {
 		crossed = c.curBytes
@@ -322,7 +301,7 @@ func (c *RespCache) evictLocked() {
 		delete(c.bySim, e.sim)
 	}
 	c.curBytes -= int64(len(e.body))
-	c.evictions.Inc()
+	c.counts.Evictions++
 }
 
 func (c *RespCache) pushFrontLocked(e *respEntry) {
@@ -376,13 +355,7 @@ func (c *RespCache) Stats() RespCacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return RespCacheStats{
-		Hits:        c.hits.Value(),
-		Misses:      c.misses.Value(),
-		Evictions:   c.evictions.Value(),
-		Stores:      c.stores.Value(),
-		Entries:     c.entries.Value(),
-		Bytes:       c.bytes.Value(),
-		TraceBypass: c.traceBypass.Value(),
-	}
+	st := c.counts
+	st.Entries, st.Bytes = int64(len(c.byKey)), c.curBytes
+	return st
 }

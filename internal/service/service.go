@@ -32,8 +32,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gtpn"
 	"repro/internal/obs"
+	"repro/internal/ringbuf"
 	"repro/internal/trace"
 )
 
@@ -174,10 +174,12 @@ type Server struct {
 	// solve/simulate flights must never observe.
 	sweepFlights flightGroup
 	metrics      *metrics
-	history      *historyRing
-	requests     *requestRing
-	respCache    *RespCache   // nil when disabled
-	slo          *obs.Tracker // nil when SLO tracking is disabled
+	historyMu    sync.Mutex
+	history      *ringbuf.Ring[historyPoint]
+	requestsMu   sync.Mutex
+	requests     *ringbuf.Ring[requestRecord] // the last RecentRequests completed requests
+	respCache    *RespCache                   // nil when disabled
+	slo          *obs.Tracker                 // nil when SLO tracking is disabled
 	start        time.Time
 	lastShedMS   atomic.Int64 // journal rate limit for shed episodes
 	traceSeq     atomic.Int64 // computing requests seen, for trace sampling
@@ -203,8 +205,8 @@ func New(cfg Config) *Server {
 		metrics: newMetrics(),
 		start:   time.Now(),
 	}
-	s.history = newHistoryRing(s.cfg.HistorySize)
-	s.requests = newRequestRing(s.cfg.RecentRequests)
+	s.history = ringbuf.New[historyPoint](s.cfg.HistorySize)
+	s.requests = ringbuf.New[requestRecord](s.cfg.RecentRequests)
 	if s.cfg.RespCacheEntries > 0 {
 		s.respCache = newRespCache(s.cfg.RespCacheEntries, s.cfg.RespCacheBytes)
 		if s.cfg.Journal != nil {
@@ -220,17 +222,15 @@ func New(cfg Config) *Server {
 	}
 	s.slots = make(chan struct{}, s.cfg.Workers)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/solve", s.instrument("solve", s.handleSolve))
-	s.mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
-	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", s.handleExperimentList))
-	s.mux.HandleFunc("GET /v1/experiments/{id}", s.instrument("experiment", s.handleExperiment))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /metrics/history", s.instrument("history", s.handleMetricsHistory))
-	s.mux.HandleFunc("GET /debug/requests", s.instrument("requests", s.handleDebugRequests))
-	s.mux.HandleFunc("GET /debug/health", s.instrument("health", s.handleDebugHealth))
-	s.mux.HandleFunc("GET /debug/events", s.instrument("events", s.handleDebugEvents))
+	s.mux.HandleFunc("POST /v1/solve", s.instrument("solve", false, s.handleSolve))
+	s.mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", false, s.handleSweep))
+	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", false, s.handleSimulate))
+	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", false, s.handleExperimentList))
+	s.mux.HandleFunc("GET /v1/experiments/{id}", s.instrument("experiment", false, s.handleExperiment))
+	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", true, s.handleHealthz))
+	for _, o := range obsRoutes {
+		s.mux.HandleFunc("GET "+o.path, s.instrument(o.name, true, s.serveObs(o)))
+	}
 	return s
 }
 
@@ -238,9 +238,9 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // BeginDrain stops admitting new work: every subsequent request except
-// the observability endpoints (/healthz, /metrics, /metrics/history) is
-// refused with 503 and Connection: close, while requests already in
-// flight run to completion. Used on SIGTERM.
+// /healthz and the observability routes is refused with 503 and
+// Connection: close, while requests already in flight run to
+// completion. Used on SIGTERM.
 func (s *Server) BeginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.cfg.Journal.Record(obs.EventDrain, s.cfg.NodeName, "drain begun: refusing new work")
@@ -254,7 +254,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) InFlight() int64 {
 	s.metrics.mu.Lock()
 	defer s.metrics.mu.Unlock()
-	return s.metrics.inFlight
+	return s.metrics.c[fInFlight]
 }
 
 // Drain waits until no request is in flight or ctx is done.
@@ -318,27 +318,18 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// drainExempt reports whether a route stays reachable during a drain —
-// the observability endpoints, so orchestrators can watch it progress.
-// /debug/requests is exempt for the same reason the metrics are: the
-// ring is precisely the evidence an operator wants while a node drains,
-// and /debug/health and /debug/events doubly so — the drain itself is
-// an event.
-func drainExempt(route string) bool {
-	switch route {
-	case "healthz", "metrics", "history", "requests", "health", "events":
-		return true
-	}
-	return false
-}
-
 // instrument wraps a route handler with drain refusal, request
-// identity, and the request counters.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+// identity, and the request counters. An observability route (isObs:
+// /healthz and the obsRoutes) stays reachable during a drain, so
+// orchestrators can watch it progress — the request ring, health map
+// and journal are precisely the evidence an operator wants while a node
+// drains — draws its request IDs from a separate sequence, and is never
+// traced or kept in the request ring.
+func (s *Server) instrument(route string, isObs bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() && !drainExempt(route) {
-			s.metrics.add(&s.metrics.requestsTotal, 1)
-			s.metrics.add(&s.metrics.rejectedDrain, 1)
+		if s.draining.Load() && !isObs {
+			s.metrics.inc(fRequestsTotal)
+			s.metrics.inc(fRejectedDraining)
 			w.Header().Set("Connection", "close")
 			writeErr(w, http.StatusServiceUnavailable, "draining", nil)
 			return
@@ -347,7 +338,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		sw := statusWriterPool.Get().(*statusWriter)
 		sw.ResponseWriter, sw.status, sw.buf = w, http.StatusOK, nil
-		sw.rec = requestRecord{route: route, id: s.mintID(r, route)}
+		sw.rec = requestRecord{route: route, id: s.mintID(r, isObs)}
 		if sw.rec.id.Raw != "" {
 			// Echo an inherited ID so the sending node can correlate the
 			// hop even when it is not tracing.
@@ -355,7 +346,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		if r.Header.Get(TraceHeader) != "" && remoteTraceable(route) && sw.rec.id.Raw != "" {
 			s.serveRemoteTraced(sw, r, route, h)
-		} else if rec, seq := s.sampleTrace(route); rec != nil {
+		} else if rec, seq := s.sampleTrace(isObs); rec != nil {
 			rec.RegisterProcess(0, s.cfg.NodeName)
 			sc := rec.NewScope(0, sw.rec.id.String()+" "+route)
 			sp := sc.Begin(route, "http")
@@ -374,8 +365,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if sw.status == http.StatusTooManyRequests {
 			s.recordShed(route, sw.rec.unixMS)
 		}
-		if !drainExempt(route) {
-			s.requests.add(&sw.rec)
+		if !isObs {
+			s.requestsMu.Lock()
+			s.requests.Push(sw.rec)
+			s.requestsMu.Unlock()
 		}
 		s.logAccess(&sw.rec)
 		sw.ResponseWriter = nil
@@ -416,11 +409,11 @@ func validInheritedID(raw string) bool {
 // still serves, under a local ID). Observability routes draw from their
 // own sequence so health polls and scrapes never perturb the
 // compute-route numbering.
-func (s *Server) mintID(r *http.Request, route string) RequestID {
+func (s *Server) mintID(r *http.Request, isObs bool) RequestID {
 	if raw := r.Header.Get(RequestIDHeader); validInheritedID(raw) {
 		return RequestID{Raw: raw}
 	}
-	if drainExempt(route) {
+	if isObs {
 		return RequestID{Node: s.cfg.NodeName, Seq: s.obsSeq.Add(1), Obs: true}
 	}
 	return RequestID{Node: s.cfg.NodeName, Seq: s.reqSeq.Add(1)}
@@ -494,8 +487,8 @@ func (s *Server) serveRemoteTraced(sw *statusWriter, r *http.Request, route stri
 // sampleTrace decides whether this request is traced; the zeroth,
 // TraceEvery-th, 2·TraceEvery-th, … computing request each gets a fresh
 // wall-clock recorder. The observability endpoints are never traced.
-func (s *Server) sampleTrace(route string) (*trace.Recorder, int64) {
-	if s.cfg.TraceDir == "" || drainExempt(route) {
+func (s *Server) sampleTrace(isObs bool) (*trace.Recorder, int64) {
+	if s.cfg.TraceDir == "" || isObs {
 		return nil, 0
 	}
 	n := s.traceSeq.Add(1)
@@ -604,7 +597,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 			sp.End()
 			rcancel()
 			if served {
-				s.metrics.add(&s.metrics.clusterServed, 1)
+				s.metrics.inc(fClusterServed)
 				d := decisionFromName(rr.Decision)
 				if d == decisionNone {
 					d = decisionForwarded
@@ -632,7 +625,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 			return errResult(http.StatusServiceUnavailable, "request cancelled while queued")
 		}
 		defer release()
-		s.metrics.add(&s.metrics.leaders, 1)
+		s.metrics.inc(fLeaders)
 		rec.defaultDecision(decisionLocalCompute)
 		if s.testHookAdmitted != nil {
 			s.testHookAdmitted(spec.Key)
@@ -663,7 +656,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 		return
 	}
 	if !leader {
-		s.metrics.add(&s.metrics.coalesced, 1)
+		s.metrics.inc(fCoalesced)
 		rec.setDecision(decisionFlightFollower)
 		// A traced follower's wait is the whole story of its request.
 		sc.Instant("coalesced", "serve")
@@ -1122,69 +1115,21 @@ func acceptsOpenMetrics(accept string) bool {
 	return strings.Contains(accept, "application/openmetrics-text")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		// Exemplars are an OpenMetrics construct — the legacy text parser
-		// fails the whole scrape on them — so the dialect follows the
-		// Accept header: OpenMetrics (with exemplars and # EOF) only when
-		// the scraper asked for it.
-		if acceptsOpenMetrics(r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			w.WriteHeader(http.StatusOK)
-			_ = s.WriteOpenMetrics(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+// serveExposition answers GET /metrics?format=prometheus. Exemplars are
+// an OpenMetrics construct — the legacy text parser fails the whole
+// scrape on them — so the dialect follows the Accept header:
+// OpenMetrics (with exemplars and # EOF) only when the scraper asked for
+// it.
+func (s *Server) serveExposition(w http.ResponseWriter, r *http.Request) {
+	if acceptsOpenMetrics(r.Header.Get("Accept")) {
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_ = s.WritePrometheus(w)
+		_ = s.WriteOpenMetrics(w)
 		return
 	}
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateMetrics(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.MetricsJSON())
-}
-
-// MetricsJSON renders this node's own /metrics body — the local scope.
-// The cluster tier calls it for the self entry of an aggregated view.
-func (s *Server) MetricsJSON() []byte {
-	cs := gtpn.SolveCacheStats()
-	es := gtpn.SolverEngineStats()
-	rc := s.respCache.Stats()
-	body := map[string]any{
-		"resp_cache": map[string]any{
-			"bytes":        rc.Bytes,
-			"entries":      rc.Entries,
-			"evictions":    rc.Evictions,
-			"hits":         rc.Hits,
-			"misses":       rc.Misses,
-			"stores":       rc.Stores,
-			"trace_bypass": rc.TraceBypass,
-		},
-		"gtpn_cache": map[string]any{
-			"bypassed": cs.Bypassed,
-			"entries":  int64(cs.Entries),
-			"hits":     cs.Hits,
-			"misses":   cs.Misses,
-		},
-		"gtpn_engine": map[string]any{
-			"graphs_built":          es.GraphsBuilt,
-			"states_explored":       es.StatesExplored,
-			"edges_built":           es.EdgesBuilt,
-			"parallel_class_solves": es.ParallelClassSolves,
-			"graphs_reused":         es.GraphsReused,
-			"warm_starts":           es.WarmStarts,
-			"stationary_sweeps":     es.StationarySweeps,
-		},
-		"serving": s.metrics.snapshot(),
-		"slo":     s.sloJSON(),
-	}
-	body["serving"].(map[string]any)["queue_depth"] = s.queueDepth()
-	if s.cfg.Cluster != nil {
-		body["cluster"] = s.cfg.Cluster.MetricsSnapshot()
-	}
-	return marshalDet(body)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	_ = s.WritePrometheus(w)
 }
 
 // SetAdmittedTestHook installs a hook that runs in a computation leader

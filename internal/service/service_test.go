@@ -233,7 +233,7 @@ func TestCoalescing(t *testing.T) {
 		}
 	}
 	s.metrics.mu.Lock()
-	leaders, coalesced := s.metrics.leaders, s.metrics.coalesced
+	leaders, coalesced := s.metrics.c[fLeaders], s.metrics.c[fCoalesced]
 	s.metrics.mu.Unlock()
 	if leaders != 1 {
 		t.Fatalf("want 1 underlying solve, got %d", leaders)

@@ -266,9 +266,9 @@ func (s *Server) runSweepRow(ctx context.Context, q *sweepRequest, row sweepRow,
 				}
 			}
 			if leader {
-				s.metrics.add(&s.metrics.leaders, 1)
+				s.metrics.inc(fLeaders)
 			} else {
-				s.metrics.add(&s.metrics.coalesced, 1)
+				s.metrics.inc(fCoalesced)
 				// Following advanced the stream but not our analyzer: the
 				// next leadership must replay.
 				solvedThrough = row.start - 2

@@ -210,7 +210,7 @@ func TestSweepCoalescing(t *testing.T) {
 		t.Fatalf("coalesced sweeps returned different bytes:\n%s\nvs\n%s", a.body, b.body)
 	}
 	s.metrics.mu.Lock()
-	coalesced := s.metrics.coalesced
+	coalesced := s.metrics.c[fCoalesced]
 	s.metrics.mu.Unlock()
 	if coalesced == 0 {
 		t.Fatal("no point was coalesced")

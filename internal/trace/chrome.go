@@ -28,7 +28,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		r.mu.Lock()
 		procs := append([]procMeta(nil), r.procs...)
 		tracks := append([]trackMeta(nil), r.tracks...)
-		spans := r.spansLocked()
+		spans := r.ring.Slice()
 		tpus := r.ticksPerUS
 		r.mu.Unlock()
 

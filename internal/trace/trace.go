@@ -31,6 +31,8 @@ package trace
 import (
 	"sync"
 	"time"
+
+	"repro/internal/ringbuf"
 )
 
 // Kind distinguishes event shapes in the ring.
@@ -88,9 +90,7 @@ type Recorder struct {
 	tracks    []trackMeta
 	nextTrack int32
 
-	ring    []Span
-	next    int // next write position
-	wrapped bool
+	ring    *ringbuf.Ring[Span]
 	dropped int64
 
 	agg      map[string]*total
@@ -124,7 +124,7 @@ func New(capacity int, ticksPerUS int64) *Recorder {
 	}
 	return &Recorder{
 		ticksPerUS: ticksPerUS,
-		ring:       make([]Span, capacity),
+		ring:       ringbuf.New[Span](capacity),
 		agg:        map[string]*total{},
 	}
 }
@@ -217,14 +217,8 @@ func (r *Recorder) Instant(proc, track int32, name, cat string, at, arg int64) {
 // push writes into the ring, overwriting the oldest span when full.
 // Caller holds r.mu.
 func (r *Recorder) push(s Span) {
-	if r.wrapped {
+	if r.ring.Push(s) {
 		r.dropped++
-	}
-	r.ring[r.next] = s
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrapped = true
 	}
 }
 
@@ -235,10 +229,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.wrapped {
-		return len(r.ring)
-	}
-	return r.next
+	return r.ring.Len()
 }
 
 // Dropped reports how many spans were evicted from the ring.
@@ -259,17 +250,7 @@ func (r *Recorder) Spans() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.spansLocked()
-}
-
-func (r *Recorder) spansLocked() []Span {
-	if !r.wrapped {
-		return append([]Span(nil), r.ring[:r.next]...)
-	}
-	out := make([]Span, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.ring.Slice()
 }
 
 // Totals reports the exact run-wide per-activity aggregates in
