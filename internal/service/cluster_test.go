@@ -80,7 +80,7 @@ type fakeRouter struct {
 	serveable func(key string) bool // nil means never serveable from cache
 	routed    []ComputeSpec
 	offered   map[string][]byte
-	fannedOut []string // paths passed to FanOut
+	fannedOut string // the last path passed to FanOut
 }
 
 func (f *fakeRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
@@ -127,7 +127,7 @@ func (f *fakeRouter) HealthSnapshot() []map[string]any {
 // peer with a marker body naming the path, and one silent peer.
 func (f *fakeRouter) FanOut(_ context.Context, path string, self []byte) Fanout {
 	f.mu.Lock()
-	f.fannedOut = append(f.fannedOut, path)
+	f.fannedOut = path
 	f.mu.Unlock()
 	return Fanout{
 		Self:    "http://fake:0",
@@ -142,10 +142,7 @@ func (f *fakeRouter) FanOut(_ context.Context, path string, self []byte) Fanout 
 func (f *fakeRouter) lastFanOut() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.fannedOut) == 0 {
-		return ""
-	}
-	return f.fannedOut[len(f.fannedOut)-1]
+	return f.fannedOut
 }
 
 func (f *fakeRouter) routedSpecs() []ComputeSpec {
