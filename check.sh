@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repository health check: build, vet, the full test suite under the race
-# detector, and a one-iteration benchmark smoke pass. This is the tier-1
-# gate plus the race/bench hygiene added with the parallel experiment
-# engine; run it before sending a change.
+# detector, the benchmark harness's own vet and tests, and a one-iteration
+# benchmark smoke pass. This is the tier-1 gate plus the race/bench
+# hygiene added with the parallel experiment engine; run it before
+# sending a change.
 #
 # `./check.sh bench` instead records a benchmark snapshot: it runs the
 # solver and serving benchmarks at measurement length and rewrites
@@ -299,6 +300,11 @@ fi
 
 go build ./...
 go vet ./...
+# The benchmark harness is a module of its own (ipcdbench/go.mod), so the
+# steps above never compile it. Vet and test it here, so that a change to
+# an API it calls (service.SolveKey, cluster.Node.Route/OwnerOf/Stats,
+# Server.MetricsJSON) fails the gate instead of the benchmark run.
+(cd ipcdbench && go vet . && go test .)
 # internal/models alone needs ~9 minutes under the race detector on a
 # single CPU, right against go test's default 10-minute per-package
 # timeout — give the suite explicit headroom so a loaded runner doesn't

@@ -13,7 +13,7 @@
 //	ipcd -log-format json        structured JSON logs and access records on stderr
 //
 // Cluster mode shards the solve keyspace across a fleet of nodes by
-// consistent hashing on the canonical coalescing key:
+// consistent hashing on the coalescing key (the validated parameters):
 //
 //	ipcd -addr :8080 -cluster-self http://10.0.0.1:8080 \
 //	     -peers http://10.0.0.2:8080,http://10.0.0.3:8080

@@ -801,3 +801,42 @@ func TestClusterReplicaPushServesUnifiedCache(t *testing.T) {
 		t.Fatalf("resp_cache hits = %d, want >= 2", rc.Hits)
 	}
 }
+
+// A replica push is only a peer's claim — /cluster/v1/replicate accepts
+// any body — so when the key's owner computes the point itself, its own
+// bytes must replace the pushed ones. Otherwise one bogus push would
+// become the owner's fast-path answer for that key from then on.
+func TestClusterLocalComputeReplacesPushedBody(t *testing.T) {
+	ref := newReferenceServer(t)
+	tc := newTestCluster(t, 3, nil)
+	p := allPoints()[0]
+	owner := tc.index(t, tc.nodes[0].OwnerOf(p.key(t)))
+
+	push, err := json.Marshal(map[string]string{"key": p.key(t), "body": "{\"bogus\":true}\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(tc.urls[owner]+"/cluster/v1/replicate", "application/json", bytes.NewReader(push))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || tc.nodes[owner].Stats().ReplicaStores != 1 {
+		t.Fatalf("push answered %d, replica stores %d", resp.StatusCode, tc.nodes[owner].Stats().ReplicaStores)
+	}
+
+	want := mustSolve(t, ref, p.body(), "")
+	if got := mustSolve(t, tc.urls[owner], p.body(), ""); !bytes.Equal(got, want) {
+		t.Fatalf("owner's compute diverges from reference:\n got: %s\nwant: %s", got, want)
+	}
+	// The next request is a fast-path hit, and it serves computed bytes.
+	if got := mustSolve(t, tc.urls[owner], p.body(), ""); !bytes.Equal(got, want) {
+		t.Fatalf("owner's hit serves the pushed body:\n got: %s\nwant: %s", got, want)
+	}
+	if leaders, _, served := servingCounters(t, tc.srvs[owner]); leaders != 1 || served != 0 {
+		t.Fatalf("owner leaders=%d cluster_served=%d, want 1 compute then a hit", leaders, served)
+	}
+	if rc := tc.srvs[owner].RespCache().Stats(); rc.Entries != 1 || rc.Bytes != int64(len(want)) {
+		t.Fatalf("resp_cache = %+v, want 1 entry of %d bytes", rc, len(want))
+	}
+}

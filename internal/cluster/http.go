@@ -120,8 +120,9 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Replica pushes land in the bound server's unified response cache,
-	// keyed by flight key only — the local fast path never serves them
-	// directly; Route does, gated on current ring entitlement.
+	// flagged as replicas: the local fast path never serves them
+	// directly; Route does, gated on current ring entitlement. A local
+	// compute of the key later replaces the pushed body.
 	stored := n.respCache().PutReplica(q.Key, []byte(q.Body))
 	if stored {
 		n.replicaStores.Add(1)

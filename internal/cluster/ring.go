@@ -1,6 +1,7 @@
 // Package cluster is the distributed serving tier: N ipcd nodes shard
-// the solve/sweep coalescing keyspace by consistent hashing (virtual
-// nodes) over the canonical CoalesceKey-derived flight keys, forward
+// the solve/simulate coalescing keyspace by consistent hashing (virtual
+// nodes) over the service layer's flight keys — the validated request
+// parameters, e.g. "solve|a=2|n=1|h=1|x=1140|nl=false" — forward
 // misses to the owning peer over HTTP, coalesce cluster-wide on the
 // owner's in-flight solve, and replicate hot entries to the key's next
 // replica on the ring. Because every response body is deterministic
@@ -18,8 +19,8 @@ import (
 
 // DefaultVirtualNodes is the ring points each member contributes. 64
 // virtual nodes keep the largest/smallest ownership share within a few
-// tens of percent for small clusters, which is enough to spread a
-// coalescing keyspace whose keys are already high-entropy signatures.
+// tens of percent for small clusters, which is enough to spread the
+// flight keyspace without weighting.
 const DefaultVirtualNodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by

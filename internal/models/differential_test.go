@@ -60,40 +60,3 @@ func TestRegistryNetsMatchReferenceSolver(t *testing.T) {
 		}
 	}
 }
-
-// TestCoalesceKeyStableAcrossRewrite pins the serving-layer coalescing
-// contract: the solver-layout rewrite must not move any request key.
-func TestCoalesceKeyStableAcrossRewrite(t *testing.T) {
-	for _, tc := range []struct {
-		arch     timing.Arch
-		n        int
-		x        float64
-		nonLocal bool
-	}{
-		{timing.ArchI, 1, 1140, false},
-		{timing.ArchII, 2, 2850, false},
-		{timing.ArchIII, 1, 1140, true},
-		{timing.ArchIV, 2, 1140, true},
-	} {
-		key1, err := CoalesceKey(tc.arch, tc.n, 1, tc.x, tc.nonLocal)
-		if err != nil {
-			t.Fatalf("CoalesceKey(%+v): %v", tc, err)
-		}
-		key2, err := CoalesceKey(tc.arch, tc.n, 1, tc.x, tc.nonLocal)
-		if err != nil {
-			t.Fatalf("CoalesceKey(%+v) second call: %v", tc, err)
-		}
-		if key1 != key2 {
-			t.Fatalf("CoalesceKey(%+v) unstable: %q vs %q", tc, key1, key2)
-		}
-		// The key must still be the net signature with its layer prefix —
-		// the cache and the coalescer depend on them agreeing.
-		wantPrefix := "local|"
-		if tc.nonLocal {
-			wantPrefix = "nonlocal|"
-		}
-		if len(key1) <= len(wantPrefix) || key1[:len(wantPrefix)] != wantPrefix {
-			t.Fatalf("CoalesceKey(%+v) = %q: missing %q prefix", tc, key1, wantPrefix)
-		}
-	}
-}

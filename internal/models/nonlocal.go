@@ -151,8 +151,8 @@ func buildServer(arch timing.Arch, n, hosts int, cd, xUS float64) (net *gtpn.Net
 }
 
 // initialSd is the §6.6.3 starting estimate of the surrogate server
-// delay: the sum of the communication time and compute time. It also
-// determines the first client-net iterate, which CoalesceKey signs.
+// delay: the sum of the communication time and compute time, which
+// determines the first client-net iterate.
 func initialSd(sp timing.ServerParams, xUS float64) float64 {
 	return sp.HostRecv + sp.CommRecv + sp.CommMatch + sp.HostCompute + xUS +
 		sp.CommReply + sp.DMAIn + sp.DMAOut

@@ -2,9 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The serving-tier benchmarks, pinned in BENCH_gtpn.json alongside the
@@ -68,6 +73,86 @@ func BenchmarkServeSolveHit(b *testing.B) {
 	}
 	if hits := s.respCache.Stats().Hits; hits < int64(b.N) {
 		b.Fatalf("only %d cache hits for %d iterations", hits, b.N)
+	}
+}
+
+// BenchmarkServeSolveHitObserved is the same hit with ipcd's recorders
+// on, as the daemon runs: a text access log (to io.Discard), the
+// default SLO and an event journal. The gap to BenchmarkServeSolveHit
+// is what observing a hit costs.
+func BenchmarkServeSolveHitObserved(b *testing.B) {
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	s := New(Config{AccessLog: logger, Journal: obs.NewJournal(0, logger, "bench")})
+	h := s.Handler()
+	req, rb, payload := benchSolveRequest()
+	w := &discardRW{h: make(http.Header, 4)}
+
+	rb.Reset(payload)
+	h.ServeHTTP(w, req)
+	if w.status != http.StatusOK || s.respCache.Stats().Stores != 1 {
+		b.Fatalf("warmup status %d did not populate the response cache", w.status)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.Reset(payload)
+		w.status = 0
+		h.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	if hits := s.respCache.Stats().Hits; w.status != http.StatusOK || hits < int64(b.N) {
+		b.Fatalf("status %d, only %d cache hits for %d iterations", w.status, hits, b.N)
+	}
+}
+
+// replicaRouter is a non-owner's cluster tier for every key: it never
+// grants cache entitlement, and answers each routed key from the
+// response cache as a replica hit, the way Node.Route does.
+type replicaRouter struct{ cache *RespCache }
+
+func (r *replicaRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
+	body, ok := r.cache.GetKey(spec.Key)
+	return RoutedResult{Status: http.StatusOK, Body: body, Decision: DecisionReplicaHit}, ok
+}
+func (*replicaRouter) Offer(ComputeSpec, []byte)                     {}
+func (*replicaRouter) CacheServeable(string) bool                    { return false }
+func (*replicaRouter) MetricsSnapshot() map[string]any               { return nil }
+func (*replicaRouter) Epoch() int64                                  { return 0 }
+func (*replicaRouter) HealthSnapshot() []map[string]any              { return nil }
+func (*replicaRouter) FanOut(context.Context, string, []byte) Fanout { return Fanout{} }
+
+// BenchmarkServeSolveRouted is the non-owner's path: the fast path
+// misses, the request derives its flight key and canonical body, and
+// the cluster tier answers it from a replica entry — no solve.
+func BenchmarkServeSolveRouted(b *testing.B) {
+	rr := &replicaRouter{}
+	s := New(Config{Cluster: rr})
+	rr.cache = s.RespCache()
+	key, err := SolveKey(2, 1, 1, 1140, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !rr.cache.PutReplica(key, []byte("{\"replica\":true}\n")) {
+		b.Fatal("replica push refused")
+	}
+	h := s.Handler()
+	req, rb, payload := benchSolveRequest()
+	w := &discardRW{h: make(http.Header, 4)}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.Reset(payload)
+		w.status = 0
+		h.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	s.metrics.mu.Lock()
+	served, leaders := s.metrics.c[fClusterServed], s.metrics.c[fLeaders]
+	s.metrics.mu.Unlock()
+	if w.status != http.StatusOK || served < int64(b.N) || leaders != 0 {
+		b.Fatalf("status %d, %d cluster-served and %d computed for %d iterations", w.status, served, leaders, b.N)
 	}
 }
 

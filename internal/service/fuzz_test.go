@@ -30,6 +30,9 @@ func FuzzSolveRequest(f *testing.F) {
 					sq.Hosts < 1 || sq.Hosts > 4 || sq.ServerComputeUS < 0 || sq.ServerComputeUS > 1e7 {
 					t.Fatalf("validate accepted out-of-bounds solve request: %+v", sq)
 				}
+				if k := sq.appendKey(nil); len(k) > keyBufLen {
+					t.Fatalf("flight key %q outgrows the %d-byte stack buffer", k, keyBufLen)
+				}
 			}
 		}
 

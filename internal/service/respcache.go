@@ -5,62 +5,31 @@ import "sync"
 // The preencoded-response cache. Every response body is deterministic
 // JSON — identical requests yield byte-identical bodies — so a body,
 // once encoded, is a pure function of its flight key and never needs
-// invalidation: a cached entry can only ever be refreshed with the same
-// bytes. That property turns the serving hot path into a hash lookup
-// plus one Write: no decode of the solver's answer, no tree build, no
-// re-encode, no per-request buffers.
+// invalidation. That property turns the serving hot path into a hash
+// lookup plus one Write: no decode of the solver's answer, no tree
+// build, no re-encode, no per-request buffers.
 //
-// Two indexes cover the two ways a hit arrives:
-//
-//   - The typed parameter indexes (bySolve/bySim) serve the local fast
-//     path. Deriving the canonical flight key for a solve builds a whole
-//     GTPN net just to sign it; a comparable parameter struct is a free
-//     map key, so the fast path never touches the solver at all.
-//   - The string key index (byKey) serves the cluster tier: replica
-//     pushes arrive keyed by the canonical flight key, and Route looks
-//     entries up the same way. Locally computed entries appear in both
-//     indexes; replica pushes only in byKey, so a replica's hit is
-//     always observed (and counted) by the routing layer.
+// One index, byKey, serves both ways a hit arrives. The flight key is
+// the validated request parameters, so the local fast path builds it in
+// a stack buffer and looks it up without allocating; the cluster tier
+// looks up the same key for replica hits. Each entry records whether
+// this node computed it (local) or a peer pushed it (replica). The fast
+// path serves local entries only, so a replica's hit always flows
+// through the routing layer, where it is gated on ring entitlement and
+// counted as a replica hit. A pushed body is only a claim: a local
+// compute for the same key replaces it.
 //
 // The counters are plain integers updated under the cache mutex, so
 // counting on the hit path never allocates.
-
-// solveParams is a solve point's identity as a comparable value: the
-// validated request fields, nothing derived.
-type solveParams struct {
-	arch            int
-	conversations   int
-	hosts           int
-	serverComputeUS float64
-	nonLocal        bool
-}
-
-// simParams is a simulate request's identity: the workload point plus
-// the replication ensemble (the seed is part of the request, so it is
-// part of the identity).
-type simParams struct {
-	solveParams
-	seconds      int64
-	seed         uint64
-	replications int
-}
 
 // respEntry is one cached response. The LRU list is intrusive — prev
 // and next live in the entry — so recency updates never allocate.
 type respEntry struct {
 	prev, next *respEntry
-	key        string // canonical flight key
+	key        string // flight key
 	body       []byte // preencoded response; immutable once stored
-	kind       uint8
-	solve      solveParams
-	sim        simParams
+	local      bool   // computed by this node; false for a replica push
 }
-
-const (
-	entryKeyOnly uint8 = iota // replica push: flight key only
-	entrySolve
-	entrySim
-)
 
 // RespCacheStats is a point-in-time snapshot of the cache counters.
 type RespCacheStats struct {
@@ -83,8 +52,6 @@ type RespCache struct {
 	curBytes   int64
 	head, tail *respEntry // head = most recently used
 	byKey      map[string]*respEntry
-	bySolve    map[solveParams]*respEntry
-	bySim      map[simParams]*respEntry
 
 	counts RespCacheStats // the counters; Stats fills Entries and Bytes
 
@@ -100,52 +67,36 @@ func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		byKey:      map[string]*respEntry{},
-		bySolve:    map[solveParams]*respEntry{},
-		bySim:      map[simParams]*respEntry{},
 	}
 }
 
-// getSolve looks a solve point up on the fast path. A miss is counted
+// get looks a flight key up on the fast path. Only a locally computed
+// entry answers; a replica push counts as a miss here and is served by
+// the routing layer instead. The key arrives as bytes so the caller can
+// build it on its stack: the map lookup converts it without allocating,
+// and the returned key is the entry's own string. A miss is counted
 // here; the hit is counted by served() only once the caller decides the
 // entry is actually serveable (cluster entitlement may veto it).
-func (c *RespCache) getSolve(p solveParams) (key string, body []byte, ok bool) {
+func (c *RespCache) get(key []byte) (ckey string, body []byte, ok bool) {
 	if c == nil {
 		return "", nil, false
 	}
 	c.mu.Lock()
-	e := c.bySolve[p]
-	if e == nil {
+	e := c.byKey[string(key)]
+	if e == nil || !e.local {
 		c.counts.Misses++
 		c.mu.Unlock()
 		return "", nil, false
 	}
 	c.moveToFrontLocked(e)
-	key, body = e.key, e.body
+	ckey, body = e.key, e.body
 	c.mu.Unlock()
-	return key, body, true
-}
-
-// getSim is getSolve for simulate requests.
-func (c *RespCache) getSim(p simParams) (key string, body []byte, ok bool) {
-	if c == nil {
-		return "", nil, false
-	}
-	c.mu.Lock()
-	e := c.bySim[p]
-	if e == nil {
-		c.counts.Misses++
-		c.mu.Unlock()
-		return "", nil, false
-	}
-	c.moveToFrontLocked(e)
-	key, body = e.key, e.body
-	c.mu.Unlock()
-	return key, body, true
+	return ckey, body, true
 }
 
 // TraceBypass counts one traced request that skipped the fast path: a
 // sampled trace exists to show the full pipeline, so traced requests
-// never consult the typed indexes, and without this counter that skew
+// never consult the cache, and without this counter that skew
 // would be invisible in the hit/miss ratio.
 func (c *RespCache) TraceBypass() {
 	if c == nil {
@@ -166,7 +117,7 @@ func (c *RespCache) served() {
 	c.mu.Unlock()
 }
 
-// GetKey looks a canonical flight key up — the cluster tier's view of
+// GetKey looks a flight key up — the cluster tier's view of
 // the cache (Node.Route serves replicated entries through it). A found
 // entry counts as a hit immediately: the routing layer serves what it
 // finds.
@@ -187,32 +138,22 @@ func (c *RespCache) GetKey(key string) ([]byte, bool) {
 	return body, true
 }
 
-// PutReplica stores a replica-pushed body under its flight key only —
-// never in the typed fast-path indexes, so a replica's hit always flows
+// PutReplica stores a replica-pushed body under its flight key. The
+// local fast path never serves it, so a replica's hit always flows
 // through the cluster routing layer (where it is gated on current ring
-// entitlement and counted as a replica hit). Reports whether the entry
-// was stored. The body must not be mutated after the call.
+// entitlement and counted as a replica hit). A push never replaces an
+// entry already held. Reports whether the key is cached after the call.
+// The body must not be mutated after the call.
 func (c *RespCache) PutReplica(key string, body []byte) bool {
-	if c == nil || key == "" || len(body) == 0 {
+	if key == "" || len(body) == 0 {
 		return false
 	}
-	return c.put(&respEntry{key: key, body: body, kind: entryKeyOnly})
+	return c.put(key, body, false)
 }
 
-// putSolve stores a locally computed solve response in both indexes.
-func (c *RespCache) putSolve(p solveParams, key string, body []byte) {
-	if c == nil {
-		return
-	}
-	c.put(&respEntry{key: key, body: body, kind: entrySolve, solve: p})
-}
-
-// putSim stores a locally computed simulate response in both indexes.
-func (c *RespCache) putSim(p simParams, key string, body []byte) {
-	if c == nil {
-		return
-	}
-	c.put(&respEntry{key: key, body: body, kind: entrySim, sim: p})
+// putLocal stores a locally computed response under its flight key.
+func (c *RespCache) putLocal(key string, body []byte) {
+	c.put(key, body, true)
 }
 
 // respCacheHighWaterStart is the first byte high-water mark the cache
@@ -231,42 +172,36 @@ func (c *RespCache) setHighWaterHook(start int64, fn func(bytes int64)) {
 	c.mu.Unlock()
 }
 
-func (c *RespCache) put(e *respEntry) bool {
-	if c.maxBytes > 0 && int64(len(e.body)) > c.maxBytes {
+func (c *RespCache) put(key string, body []byte, local bool) bool {
+	if c == nil {
+		return false
+	}
+	if c.maxBytes > 0 && int64(len(body)) > c.maxBytes {
 		// A single body larger than the whole byte budget would evict
 		// everything and still not fit; refuse it instead.
 		return false
 	}
 	c.mu.Lock()
-	if old := c.byKey[e.key]; old != nil {
-		// Refresh: the body is identical by the determinism contract, but
-		// a local compute upgrades a replica-pushed entry into the typed
-		// fast-path index.
-		c.moveToFrontLocked(old)
-		if old.kind == entryKeyOnly && e.kind != entryKeyOnly {
-			old.kind = e.kind
-			switch e.kind {
-			case entrySolve:
-				old.solve = e.solve
-				c.bySolve[e.solve] = old
-			case entrySim:
-				old.sim = e.sim
-				c.bySim[e.sim] = old
-			}
+	if e := c.byKey[key]; e != nil {
+		c.moveToFrontLocked(e)
+		if !local || e.local {
+			// A push never displaces a held body, and a repeat local
+			// compute has the same bytes by the determinism contract.
+			c.mu.Unlock()
+			return true
 		}
-		c.mu.Unlock()
-		return true
+		// A local compute replaces a replica-pushed body rather than
+		// trusting it: the push endpoint accepts any bytes, and the
+		// fast path is about to serve this entry.
+		c.curBytes += int64(len(body) - len(e.body))
+		e.body, e.local = body, true
+	} else {
+		e = &respEntry{key: key, body: body, local: local}
+		c.byKey[key] = e
+		c.pushFrontLocked(e)
+		c.curBytes += int64(len(body))
+		c.counts.Stores++
 	}
-	c.byKey[e.key] = e
-	switch e.kind {
-	case entrySolve:
-		c.bySolve[e.solve] = e
-	case entrySim:
-		c.bySim[e.sim] = e
-	}
-	c.pushFrontLocked(e)
-	c.curBytes += int64(len(e.body))
-	c.counts.Stores++
 	for (c.maxEntries > 0 && len(c.byKey) > c.maxEntries) ||
 		(c.maxBytes > 0 && c.curBytes > c.maxBytes) {
 		c.evictLocked()
@@ -294,12 +229,6 @@ func (c *RespCache) evictLocked() {
 	}
 	c.unlinkLocked(e)
 	delete(c.byKey, e.key)
-	switch e.kind {
-	case entrySolve:
-		delete(c.bySolve, e.solve)
-	case entrySim:
-		delete(c.bySim, e.sim)
-	}
 	c.curBytes -= int64(len(e.body))
 	c.counts.Evictions++
 }

@@ -12,10 +12,6 @@ import (
 	"repro/internal/gtpn"
 )
 
-func testSolveParams() solveParams {
-	return solveParams{arch: 2, conversations: 1, hosts: 1, serverComputeUS: 1140}
-}
-
 // A cached response must be the exact bytes a fresh server would
 // encode: the cache stores what the encoder produced, so a hit is
 // byte-identical to a cold compute, across solve and simulate.
@@ -115,28 +111,25 @@ func TestRespCacheDisabled(t *testing.T) {
 // Eviction is strict LRU over both lookups and stores.
 func TestRespCacheLRUEvictionOrder(t *testing.T) {
 	c := newRespCache(2, 0)
-	pa := solveParams{arch: 1}
-	pb := solveParams{arch: 2}
-	pc := solveParams{arch: 3}
-	c.putSolve(pa, "a", []byte("A"))
-	c.putSolve(pb, "b", []byte("B"))
-	c.getSolve(pa) // touch A: B becomes the LRU entry
-	c.putSolve(pc, "c", []byte("C"))
+	c.putLocal("a", []byte("A"))
+	c.putLocal("b", []byte("B"))
+	c.get([]byte("a")) // touch A: B becomes the LRU entry
+	c.putLocal("c", []byte("C"))
 
-	if _, _, ok := c.getSolve(pb); ok {
+	if _, _, ok := c.get([]byte("b")); ok {
 		t.Fatal("b survived eviction; LRU order broken")
 	}
-	if _, _, ok := c.getSolve(pa); !ok {
+	if _, _, ok := c.get([]byte("a")); !ok {
 		t.Fatal("a was evicted despite being recently used")
 	}
-	if _, _, ok := c.getSolve(pc); !ok {
+	if _, _, ok := c.get([]byte("c")); !ok {
 		t.Fatal("c missing right after store")
 	}
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", st)
 	}
-	// The evicted entry must be gone from every index.
+	// The evicted entry must be gone from the cluster tier's view too.
 	if _, ok := c.GetKey("b"); ok {
 		t.Fatal("b still reachable by key after eviction")
 	}
@@ -148,7 +141,7 @@ func TestRespCacheBoundedUnderChurn(t *testing.T) {
 	c := newRespCache(8, 1<<12)
 	body := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 1000; i++ {
-		c.putSolve(solveParams{arch: i}, fmt.Sprintf("k%d", i), body)
+		c.putLocal(fmt.Sprintf("k%d", i), body)
 		st := c.Stats()
 		if st.Entries > 8 || st.Bytes > 1<<12 {
 			t.Fatalf("bounds violated at insert %d: %+v", i, st)
@@ -165,8 +158,8 @@ func TestRespCacheBoundedUnderChurn(t *testing.T) {
 func TestRespCacheByteBound(t *testing.T) {
 	c := newRespCache(100, 256)
 	big := bytes.Repeat([]byte("y"), 200)
-	c.putSolve(solveParams{arch: 1}, "a", big)
-	c.putSolve(solveParams{arch: 2}, "b", big) // 400 bytes total: a must go
+	c.putLocal("a", big)
+	c.putLocal("b", big) // 400 bytes total: a must go
 	if _, ok := c.GetKey("a"); ok {
 		t.Fatal("a survived a byte-bound eviction")
 	}
@@ -200,9 +193,9 @@ func TestRespCacheNoErrorCaching(t *testing.T) {
 	}
 }
 
-// Replica pushes are key-index only: the local typed fast path must not
-// serve them (that is the cluster Route's job, where entitlement and
-// replica-hit accounting live).
+// Replica pushes are served by the cluster tier only: the local fast
+// path must not serve them (that is the cluster Route's job, where
+// entitlement and replica-hit accounting live).
 func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	c := newRespCache(8, 0)
 	if !c.PutReplica("some-flight-key", []byte("pushed")) {
@@ -211,17 +204,82 @@ func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	if _, ok := c.GetKey("some-flight-key"); !ok {
 		t.Fatal("pushed entry must be reachable by key")
 	}
-	if _, _, ok := c.getSolve(testSolveParams()); ok {
-		t.Fatal("a replica push must never appear in the typed index")
+	if _, _, ok := c.get([]byte("some-flight-key")); ok {
+		t.Fatal("a replica push must never answer the local fast path")
 	}
-	// A local compute for the same key upgrades the entry in place.
-	p := testSolveParams()
-	c.putSolve(p, "some-flight-key", []byte("pushed"))
-	if key, body, ok := c.getSolve(p); !ok || key != "some-flight-key" || string(body) != "pushed" {
-		t.Fatalf("upgrade failed: %q %q %v", key, body, ok)
+	// A local compute for the same key takes the entry over in place,
+	// with its own bytes: a push is only a peer's claim.
+	c.putLocal("some-flight-key", []byte("computed"))
+	if key, body, ok := c.get([]byte("some-flight-key")); !ok || key != "some-flight-key" || string(body) != "computed" {
+		t.Fatalf("local compute did not replace the push: %q %q %v", key, body, ok)
 	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("upgrade duplicated the entry: %+v", st)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != int64(len("computed")) || st.Stores != 1 {
+		t.Fatalf("replacement miscounted: %+v", st)
+	}
+	// A later push never displaces the computed body.
+	c.PutReplica("some-flight-key", []byte("bogus"))
+	if body, ok := c.GetKey("some-flight-key"); !ok || string(body) != "computed" {
+		t.Fatalf("push displaced a computed body: %q %v", body, ok)
+	}
+}
+
+// Replacing a pushed body with a larger computed one holds the byte
+// bound: the growth evicts older entries, never the replaced one.
+func TestRespCacheReplaceHoldsByteBound(t *testing.T) {
+	c := newRespCache(8, 100)
+	c.putLocal("old", bytes.Repeat([]byte("o"), 50))
+	c.PutReplica("k", []byte("tiny"))
+	c.putLocal("k", bytes.Repeat([]byte("c"), 80))
+	st := c.Stats()
+	if st.Bytes != 80 || st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 80 bytes / 1 entry / 1 eviction", st)
+	}
+	if _, _, ok := c.get([]byte("k")); !ok {
+		t.Fatal("the replaced entry was evicted")
+	}
+}
+
+// Pushes, local computes and both lookups racing on the same keys: the
+// race detector is one assertion; the other is that once every compute
+// has landed, each key serves its computed body and the byte gauge
+// matches the entries.
+func TestRespCacheConcurrentPushAndCompute(t *testing.T) {
+	c := newRespCache(64, 0)
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	computed := func(k string) []byte { return []byte("computed " + k) }
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := keys[(g+i)%len(keys)]
+				switch g % 3 {
+				case 0:
+					c.PutReplica(k, []byte("pushed"))
+				case 1:
+					c.putLocal(k, computed(k))
+				default:
+					c.get([]byte(k))
+					c.GetKey(k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var want int64
+	for _, k := range keys {
+		c.putLocal(k, computed(k))
+		if _, body, ok := c.get([]byte(k)); !ok || !bytes.Equal(body, computed(k)) {
+			t.Fatalf("%s serves %q after its compute", k, body)
+		}
+		want += int64(len(computed(k)))
+	}
+	if st := c.Stats(); st.Entries != int64(len(keys)) || st.Bytes != want {
+		t.Fatalf("stats = %+v, want %d entries of %d bytes", st, len(keys), want)
 	}
 }
 
@@ -268,18 +326,27 @@ func TestRespCacheClusterEntitlementGate(t *testing.T) {
 	}
 }
 
-// Counter updates on the hit path are allocation-free, the same pinned
-// contract the hardware counters carry.
+// The hit path — building the flight key, the lookup and the counter
+// updates — is allocation-free, the same pinned contract the hardware
+// counters carry.
 func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 	c := newRespCache(8, 0)
-	p := testSolveParams()
-	c.putSolve(p, "k", []byte("body"))
+	q := solveRequest{Arch: 2, Conversations: 1, ServerComputeUS: 1140}
+	if err := q.validate(); err != nil {
+		t.Fatal(err)
+	}
+	key, err := SolveKey(2, 1, 1, 1140, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.putLocal(key, []byte("body"))
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := c.getSolve(p); !ok {
+		var kb [keyBufLen]byte
+		if _, _, ok := c.get(q.appendKey(kb[:0])); !ok {
 			t.Fatal("entry vanished")
 		}
 		c.served()
-		if _, ok := c.GetKey("k"); !ok {
+		if _, ok := c.GetKey(key); !ok {
 			t.Fatal("key vanished")
 		}
 	}); n != 0 {

@@ -794,84 +794,59 @@ func (q *solveRequest) canonicalBody() []byte {
 	return marshalDet(q.echo())
 }
 
-// SolveKey is the coalescing/routing key for one solve point: the
-// canonical GTPN net signature, prefixed with the request parameters so
-// the echoed fields stay honest even if two distinct points ever signed
-// identically. Exported so cluster tooling and tests can locate a
-// point's owner on the ring without re-deriving the format.
+// keyBufLen sizes the stack buffer a compute route builds its flight
+// key in; every validated solve or simulate key fits.
+const keyBufLen = 128
+
+// appendPoint appends the flight-key fields of a validated workload
+// point to dst after the route name, each formatted as canonicalBody
+// echoes it (floats shortest-round-trip), so two validated requests
+// share a key exactly when they share a canonical body.
+func (q *solveRequest) appendPoint(dst []byte, route string) []byte {
+	dst = append(dst, route...)
+	dst = append(dst, "|a="...)
+	dst = strconv.AppendInt(dst, int64(q.Arch), 10)
+	dst = append(dst, "|n="...)
+	dst = strconv.AppendInt(dst, int64(q.Conversations), 10)
+	dst = append(dst, "|h="...)
+	dst = strconv.AppendInt(dst, int64(q.Hosts), 10)
+	dst = append(dst, "|x="...)
+	dst = strconv.AppendFloat(dst, q.ServerComputeUS, 'g', -1, 64)
+	dst = append(dst, "|nl="...)
+	return strconv.AppendBool(dst, q.NonLocal)
+}
+
+// appendKey appends the solve flight key, e.g.
+// "solve|a=2|n=1|h=1|x=1140|nl=false". It is the coalescing, response
+// cache and ring key of the request.
+func (q *solveRequest) appendKey(dst []byte) []byte { return q.appendPoint(dst, "solve") }
+
+// SolveKey is the flight key /v1/solve gives one point, with the hosts
+// default applied; it fails where the route would answer 400. Exported
+// so cluster tooling and tests can locate a point's owner on the ring
+// without re-deriving the format.
 func SolveKey(arch, conversations, hosts int, serverComputeUS float64, nonLocal bool) (string, error) {
-	sys := core.New(core.Arch(arch), core.WithHosts(hosts))
-	sig, err := sys.CoalesceKey(core.Workload{
-		Conversations:   conversations,
-		ServerComputeUS: serverComputeUS,
-		NonLocal:        nonLocal,
-	})
-	if err != nil {
+	q := solveRequest{Arch: arch, Conversations: conversations, Hosts: hosts,
+		ServerComputeUS: serverComputeUS, NonLocal: nonLocal}
+	if err := q.validate(); err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("solve|a=%d|n=%d|h=%d|x=%s|nl=%t|%s",
-		arch, conversations, hosts, formatFloatKey(serverComputeUS), nonLocal, sig), nil
+	return string(q.appendKey(nil)), nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	rec := recordOf(w)
-	hops, rejected := s.checkHops(w, r)
-	if rejected {
-		return
-	}
-	rec.setHops(hops)
-	sc := trace.ScopeFrom(r.Context())
 	var q solveRequest
-	sp := sc.Begin("decode", "serve")
-	t0 := time.Now()
-	decoded := s.decodeBody(w, r, &q)
-	rec.setDecodeUS(time.Since(t0))
-	sp.End()
-	if !decoded {
+	hops, ok := s.decodePoint(w, r, &q)
+	if !ok {
 		return
 	}
-	if err := q.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), nil)
+	var kb [keyBufLen]byte
+	key := q.appendKey(kb[:0])
+	if s.serveCached(w, r, key) {
 		return
 	}
-	p := solveParams{
-		arch:            q.Arch,
-		conversations:   q.Conversations,
-		hosts:           q.Hosts,
-		serverComputeUS: q.ServerComputeUS,
-		nonLocal:        q.NonLocal,
-	}
-	// The zero-allocation fast path: an identical validated request has
-	// preencoded bytes. Keyed by the parameter struct — deriving the
-	// flight key would build a GTPN net just to sign it — and gated on
-	// cluster entitlement at serve time, so a node answers only keys its
-	// current ring says it owns or replicates. Traced requests take the
-	// full path: a sampled trace exists to show the pipeline.
-	if sc == nil {
-		if ckey, body, ok := s.respCache.getSolve(p); ok && s.cacheServeable(ckey) {
-			s.respCache.served()
-			rec.setKey(ckey)
-			rec.setDecision(decisionRespCacheHit)
-			writeDet(w, http.StatusOK, nil, body)
-			return
-		}
-	} else if s.respCache != nil {
-		s.respCache.TraceBypass()
-		sc.Instant("respcache.bypass", "serve")
-	}
-	sys := q.system()
-	key, err := SolveKey(q.Arch, q.Conversations, q.Hosts, q.ServerComputeUS, q.NonLocal)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error(), nil)
-		return
-	}
-	rec.setKey(key)
-	fsp := sc.Begin("forward.encode", "serve")
-	canonical := q.canonicalBody()
-	fsp.End()
-	spec := ComputeSpec{Route: "solve", Key: key, Body: canonical, Hops: hops, RequestID: rec.idString()}
-	s.coalesce(w, r, spec, func(ctx context.Context) flightResult {
-		pred, err := sys.AnalyzeContext(ctx, q.workload())
+	s.computePoint(w, r, "solve", string(key), hops, q.canonicalBody, func(ctx context.Context) flightResult {
+		pred, err := q.system().AnalyzeContext(ctx, q.workload())
 		if err != nil {
 			return solveError(err)
 		}
@@ -884,9 +859,73 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		res := flightResult{status: http.StatusOK, body: marshalDet(body)}
 		sp.End()
 		return res
-	}, func(body []byte) {
+	})
+}
+
+// decodePoint runs a compute route's preamble: the hop check, the timed
+// decode into q, and validation. ok is false once it has answered.
+func (s *Server) decodePoint(w http.ResponseWriter, r *http.Request, q interface{ validate() error }) (hops int, ok bool) {
+	rec := recordOf(w)
+	hops, rejected := s.checkHops(w, r)
+	if rejected {
+		return 0, false
+	}
+	rec.setHops(hops)
+	sp := trace.ScopeFrom(r.Context()).Begin("decode", "serve")
+	t0 := time.Now()
+	decoded := s.decodeBody(w, r, q)
+	rec.setDecodeUS(time.Since(t0))
+	sp.End()
+	if !decoded {
+		return 0, false
+	}
+	if err := q.validate(); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error(), nil)
+		return 0, false
+	}
+	return hops, true
+}
+
+// serveCached is the zero-allocation fast path: it answers from the
+// response cache when key holds a locally computed body, gated on
+// cluster entitlement at serve time, so a node answers only keys its
+// current ring says it owns or replicates. The key is the caller's
+// stack bytes. Traced requests take the full path: a sampled trace
+// exists to show the pipeline. Reports whether it answered.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte) bool {
+	if sc := trace.ScopeFrom(r.Context()); sc != nil {
+		if s.respCache != nil {
+			s.respCache.TraceBypass()
+			sc.Instant("respcache.bypass", "serve")
+		}
+		return false
+	}
+	ckey, body, ok := s.respCache.get(key)
+	if !ok || !s.cacheServeable(ckey) {
+		return false
+	}
+	s.respCache.served()
+	rec := recordOf(w)
+	rec.setKey(ckey)
+	rec.setDecision(decisionRespCacheHit)
+	writeDet(w, http.StatusOK, nil, body)
+	return true
+}
+
+// computePoint serves a fast-path miss through the flight group under
+// key, with the canonical body a peer can replay it from, and caches a
+// fresh local 200 while this node may serve the key.
+func (s *Server) computePoint(w http.ResponseWriter, r *http.Request, route, key string, hops int,
+	canonical func() []byte, fn func(ctx context.Context) flightResult) {
+	rec := recordOf(w)
+	rec.setKey(key)
+	sp := trace.ScopeFrom(r.Context()).Begin("forward.encode", "serve")
+	body := canonical()
+	sp.End()
+	spec := ComputeSpec{Route: route, Key: key, Body: body, Hops: hops, RequestID: rec.idString()}
+	s.coalesce(w, r, spec, fn, func(body []byte) {
 		if s.cacheServeable(key) {
-			s.respCache.putSolve(p, key, body)
+			s.respCache.putLocal(key, body)
 		}
 	})
 }
@@ -947,62 +986,33 @@ func (q *simulateRequest) canonicalBody() []byte {
 	return marshalDet(body)
 }
 
+// appendKey appends the simulate flight key: the point's fields plus
+// the ensemble's.
+func (q *simulateRequest) appendKey(dst []byte) []byte {
+	dst = q.appendPoint(dst, "sim")
+	dst = append(dst, "|s="...)
+	dst = strconv.AppendInt(dst, q.Seconds, 10)
+	dst = append(dst, "|seed="...)
+	dst = strconv.AppendUint(dst, q.Seed, 10)
+	dst = append(dst, "|reps="...)
+	return strconv.AppendInt(dst, int64(q.Replications), 10)
+}
+
+// handleSimulate serves seeded simulations, which are deterministic
+// too: the same fast path and flight as solve, with the ensemble
+// parameters in the key.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	rec := recordOf(w)
-	hops, rejected := s.checkHops(w, r)
-	if rejected {
-		return
-	}
-	rec.setHops(hops)
-	sc := trace.ScopeFrom(r.Context())
 	var q simulateRequest
-	sp := sc.Begin("decode", "serve")
-	t0 := time.Now()
-	decoded := s.decodeBody(w, r, &q)
-	rec.setDecodeUS(time.Since(t0))
-	sp.End()
-	if !decoded {
+	hops, ok := s.decodePoint(w, r, &q)
+	if !ok {
 		return
 	}
-	if err := q.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), nil)
+	var kb [keyBufLen]byte
+	key := q.appendKey(kb[:0])
+	if s.serveCached(w, r, key) {
 		return
 	}
-	p := simParams{
-		solveParams: solveParams{
-			arch:            q.Arch,
-			conversations:   q.Conversations,
-			hosts:           q.Hosts,
-			serverComputeUS: q.ServerComputeUS,
-			nonLocal:        q.NonLocal,
-		},
-		seconds:      q.Seconds,
-		seed:         q.Seed,
-		replications: q.Replications,
-	}
-	// Simulations are seeded and therefore deterministic too: the same
-	// fast path as solve, with the ensemble parameters in the identity.
-	if sc == nil {
-		if ckey, body, ok := s.respCache.getSim(p); ok && s.cacheServeable(ckey) {
-			s.respCache.served()
-			rec.setKey(ckey)
-			rec.setDecision(decisionRespCacheHit)
-			writeDet(w, http.StatusOK, nil, body)
-			return
-		}
-	} else if s.respCache != nil {
-		s.respCache.TraceBypass()
-		sc.Instant("respcache.bypass", "serve")
-	}
-	key := fmt.Sprintf("sim|a=%d|n=%d|h=%d|x=%s|nl=%t|s=%d|seed=%d|reps=%d",
-		q.Arch, q.Conversations, q.Hosts, formatFloatKey(q.ServerComputeUS),
-		q.NonLocal, q.Seconds, q.Seed, q.Replications)
-	rec.setKey(key)
-	fsp := sc.Begin("forward.encode", "serve")
-	canonical := q.canonicalBody()
-	fsp.End()
-	spec := ComputeSpec{Route: "simulate", Key: key, Body: canonical, Hops: hops, RequestID: rec.idString()}
-	s.coalesce(w, r, spec, func(ctx context.Context) flightResult {
+	s.computePoint(w, r, "simulate", string(key), hops, q.canonicalBody, func(ctx context.Context) flightResult {
 		sys := core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts), core.WithSeed(q.Seed))
 		// One worker per ensemble: the HTTP pool is the concurrency bound.
 		meas, err := sys.MeasureManyContext(ctx, q.workload(), q.Seconds, q.Replications, 1)
@@ -1017,10 +1027,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		body["seed"] = q.Seed
 		body["throughput_rps"] = meas.Throughput
 		return flightResult{status: http.StatusOK, body: marshalDet(body)}
-	}, func(body []byte) {
-		if s.cacheServeable(key) {
-			s.respCache.putSim(p, key, body)
-		}
 	})
 }
 
