@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,20 @@ func (p point) key(t *testing.T) string {
 		t.Fatalf("SolveKey(%+v): %v", p, err)
 	}
 	return k
+}
+
+// freshPoint is a point outside allPoints — so no node has served or
+// been pushed it — whose key's owner, as n's ring sees it, satisfies
+// want.
+func freshPoint(t *testing.T, n *Node, want func(owner string) bool) point {
+	t.Helper()
+	for x := 1; x < 570; x++ {
+		if p := (point{1, 1, x}); want(n.OwnerOf(p.key(t))) {
+			return p
+		}
+	}
+	t.Fatal("no fresh point has a wanted owner")
+	return point{}
 }
 
 func allPoints() []point {
@@ -432,18 +447,10 @@ func TestClusterJoinLeaveRebalance(t *testing.T) {
 	}
 
 	// Leave: node 2 removes itself from its own ring FIRST, so requests
-	// that still reach it forward to the surviving owner.
-	var deserted point
-	found := false
-	for _, p := range allPoints() {
-		if n2.OwnerOf(p.key(t)) == urls[2] {
-			deserted, found = p, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no point owned by the leaver")
-	}
+	// that still reach it forward to the surviving owner. The deserted
+	// key is one the leaver never served: bytes it held would answer
+	// without the hop.
+	deserted := freshPoint(t, n2, func(o string) bool { return o == urls[2] })
 	if err := n2.Leave(ctx); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
@@ -453,18 +460,17 @@ func TestClusterJoinLeaveRebalance(t *testing.T) {
 		}
 	}
 	before := n2.Stats().ForwardServed
+	leaders, _, _ := servingCounters(t, srv2)
 	got := mustSolve(t, urls[2], deserted.body(), "")
-	if wb := want[deserted]; !bytes.Equal(got, wb) {
-		// deserted may not be in the pre-solved set; fall back to the reference.
-		wb = mustSolve(t, ref, deserted.body(), "")
-		if !bytes.Equal(got, wb) {
-			t.Fatalf("post-leave handoff response diverges:\n got: %s\nwant: %s", got, wb)
-		}
+	if wb := mustSolve(t, ref, deserted.body(), ""); !bytes.Equal(got, wb) {
+		t.Fatalf("post-leave handoff response diverges:\n got: %s\nwant: %s", got, wb)
 	}
 	if after := n2.Stats().ForwardServed; after != before+1 {
 		t.Fatalf("leaver served its deserted key locally (forward_served %d -> %d)", before, after)
 	}
-	_ = srv2
+	if after, _, _ := servingCounters(t, srv2); after != leaders {
+		t.Fatalf("leaver computed its deserted key (leaders %d -> %d)", leaders, after)
+	}
 }
 
 // Drain handoff under concurrent load: while clients hammer the two
@@ -722,8 +728,15 @@ func TestClusterControlEndpoints(t *testing.T) {
 			t.Fatalf("replicate %q answered %d, want 400", bad, resp.StatusCode)
 		}
 	}
+	// A key whose replica set includes node 0: only such a push is stored.
+	pushKey := ""
+	for i := 1; pushKey == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); slices.Contains(tc.nodes[0].ReplicasOf(k), tc.urls[0]) {
+			pushKey = k
+		}
+	}
 	resp, err = http.Post(tc.urls[0]+"/cluster/v1/replicate", "application/json",
-		strings.NewReader(`{"key":"k1","body":"{\"x\":1}"}`))
+		strings.NewReader(`{"key":"`+pushKey+`","body":"{\"x\":1}"}`))
 	if err != nil {
 		t.Fatalf("replicate: %v", err)
 	}
@@ -744,6 +757,118 @@ func TestClusterControlEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("join %q answered %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// Route serves held peer bytes at any non-owner, so the push endpoint
+// is where the replica set is enforced: a push to a node off the key's
+// replica set is refused, and that node still forwards the key.
+func TestClusterReplicateOffReplicaSetRefused(t *testing.T) {
+	ref := newReferenceServer(t)
+	tc := newTestCluster(t, 3, nil)
+	p := allPoints()[0]
+	key := p.key(t)
+	reps := tc.nodes[0].ReplicasOf(key)
+	outsider := 3 - tc.index(t, reps[0]) - tc.index(t, reps[1])
+
+	push, err := json.Marshal(map[string]string{"key": key, "body": "{\"bogus\":true}\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(tc.urls[outsider]+"/cluster/v1/replicate", "application/json", bytes.NewReader(push))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte(`"stored":false`)) {
+		t.Fatalf("push off the replica set answered %d %s, want stored false", resp.StatusCode, b)
+	}
+	if st := tc.nodes[outsider].Stats(); st.ReplicaStores != 0 || st.CacheEntries != 0 {
+		t.Fatalf("outsider stats after the push = %+v, want nothing stored", st)
+	}
+
+	want := mustSolve(t, ref, p.body(), "")
+	if got := mustSolve(t, tc.urls[outsider], p.body(), ""); !bytes.Equal(got, want) {
+		t.Fatalf("outsider's answer diverges from reference:\n got: %s\nwant: %s", got, want)
+	}
+	if st := tc.nodes[outsider].Stats(); st.ForwardServed != 1 || st.ReplicaHits != 0 {
+		t.Fatalf("outsider stats = %+v, want one served forward and no replica hit", st)
+	}
+}
+
+// A forwarding non-owner keeps the owner's answer: a repeat at a node
+// that is neither the key's owner nor its replica costs no hop.
+func TestClusterForwardedAnswerServesRepeat(t *testing.T) {
+	ref := newReferenceServer(t)
+	tc := newTestCluster(t, 3, nil)
+	p := allPoints()[0]
+	reps := tc.nodes[0].ReplicasOf(p.key(t))
+	third := 3 - tc.index(t, reps[0]) - tc.index(t, reps[1])
+	want := mustSolve(t, ref, p.body(), "")
+
+	for i := 0; i < 2; i++ {
+		if got := mustSolve(t, tc.urls[third], p.body(), ""); !bytes.Equal(got, want) {
+			t.Fatalf("solve %d via the third node diverges:\n got: %s\nwant: %s", i, got, want)
+		}
+	}
+	if st := tc.nodes[third].Stats(); st.ForwardsOut != 1 || st.ReplicaHits != 1 {
+		t.Fatalf("third node stats = %+v, want one forward, then one replica hit", st)
+	}
+	if leaders, _, _ := servingCounters(t, tc.srvs[third]); leaders != 0 {
+		t.Fatalf("third node leaders = %d, want 0 (it never computes)", leaders)
+	}
+	rows := fetchRequests(t, tc.urls[third], "").Requests
+	if len(rows) != 2 || rows[0].Decision != service.DecisionForwarded || rows[1].Decision != service.DecisionReplicaHit {
+		t.Fatalf("third node rows = %+v, want forwarded then replica_hit", rows)
+	}
+}
+
+// Held peer bytes are never an owner's answer: once the ring makes the
+// holding node the key's owner, its next request computes, and its own
+// bytes replace the held ones as the fast path's answer.
+func TestClusterNewOwnerComputesOverHeldBytes(t *testing.T) {
+	ref := newReferenceServer(t)
+	tc := newTestCluster(t, 3, func(_ int, ccfg *Config, _ *service.Config) {
+		ccfg.Replicas = -1 // the held bytes come from the forward alone
+	})
+	p := allPoints()[0]
+	key := p.key(t)
+	owner := tc.index(t, tc.nodes[0].OwnerOf(key))
+	rest := slices.Delete(slices.Clone(tc.urls), owner, owner+1)
+	heir := tc.index(t, BuildRing(rest, 0).Owner(key))
+	want := mustSolve(t, ref, p.body(), "")
+
+	if got := mustSolve(t, tc.urls[heir], p.body(), ""); !bytes.Equal(got, want) {
+		t.Fatalf("forwarded answer diverges:\n got: %s\nwant: %s", got, want)
+	}
+	if body, ok := tc.srvs[heir].RespCache().GetKey(key); !ok || !bytes.Equal(body, want) {
+		t.Fatalf("heir holds no peer bytes after its forward: ok=%v body=%s", ok, body)
+	}
+
+	for _, n := range tc.nodes {
+		n.RemoveMember(tc.urls[owner])
+	}
+	if o := tc.nodes[heir].OwnerOf(key); o != tc.urls[heir] {
+		t.Fatalf("owner after the removal = %s, want the heir %s", o, tc.urls[heir])
+	}
+	for i := 0; i < 2; i++ {
+		if got := mustSolve(t, tc.urls[heir], p.body(), ""); !bytes.Equal(got, want) {
+			t.Fatalf("new owner's solve %d diverges:\n got: %s\nwant: %s", i, got, want)
+		}
+	}
+	if leaders, _, served := servingCounters(t, tc.srvs[heir]); leaders != 1 || served != 1 {
+		t.Fatalf("heir leaders=%d cluster_served=%d, want 1 compute over the held bytes and the first forward", leaders, served)
+	}
+	if st := tc.nodes[heir].Stats(); st.ReplicaHits != 0 || st.ForwardsOut != 1 {
+		t.Fatalf("heir stats = %+v, want no replica hit as owner", st)
+	}
+	rows := fetchRequests(t, tc.urls[heir], "").Requests
+	if last := rows[len(rows)-1]; last.Decision != service.DecisionRespCacheHit {
+		t.Fatalf("new owner's repeat = %+v, want a fast-path hit on its computed bytes", last)
+	}
+	if rc := tc.srvs[heir].RespCache().Stats(); rc.Entries != 1 || rc.Stores != 1 {
+		t.Fatalf("resp_cache = %+v, want the held entry replaced in place", rc)
 	}
 }
 

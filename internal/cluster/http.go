@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 
 	"repro/internal/service"
 )
@@ -17,7 +18,7 @@ import (
 //
 //	POST /cluster/v1/join       {"node": url}  add a member; returns the member set
 //	POST /cluster/v1/leave      {"node": url}  remove a member; returns the member set
-//	POST /cluster/v1/replicate  {"key", "body"} store a replicated response
+//	POST /cluster/v1/replicate  {"key", "body"} store a replicated response (replica set only)
 //	GET  /cluster/v1/members    the member set, epoch, and self
 
 // Handler mounts the cluster endpoints above the bound server's own
@@ -119,11 +120,13 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeJSONErr(w, http.StatusBadRequest, "replicate wants {\"key\", \"body\"}")
 		return
 	}
-	// Replica pushes land in the bound server's unified response cache,
-	// flagged as replicas: the local fast path never serves them
-	// directly; Route does, gated on current ring entitlement. A local
-	// compute of the key later replaces the pushed body.
-	stored := n.respCache().PutReplica(q.Key, []byte(q.Body))
+	// Only a member of the key's replica set stores a push. Route serves
+	// held peer bytes at every non-owner, so a push stored anywhere would
+	// let one POST from the public listener answer the key fleet-wide.
+	// The push lands as peer bytes: the local fast path never serves
+	// them, and a local compute of the key replaces them.
+	stored := slices.Contains(n.ReplicasOf(q.Key), n.self) &&
+		n.respCache().PutReplica(q.Key, []byte(q.Body))
 	if stored {
 		n.replicaStores.Add(1)
 	}

@@ -82,9 +82,9 @@ func (c Config) withDefaults() (Config, error) {
 
 // Local is the node's own serving core — implemented by
 // *service.Server. The node mounts its handler under the cluster
-// endpoints and stores/serves replicated response bytes through its
-// preencoded-response cache — one cache for both the local fast path
-// and the replica tier.
+// endpoints and stores/serves peer bytes (replica pushes and kept
+// forward answers) through its preencoded-response cache — one cache
+// for both the local fast path and the cluster tier.
 type Local interface {
 	Handler() http.Handler
 	RespCache() *service.RespCache
@@ -112,8 +112,8 @@ type Node struct {
 	forwardServed     atomic.Int64 // forwards answered 200 by the owner
 	forwardFallback   atomic.Int64 // forwards that fell back to local compute
 	forwardsSkipped   atomic.Int64 // forwards skipped: owner known unreachable
-	replicaHits       atomic.Int64 // requests served from the replica cache
-	replicaStores     atomic.Int64 // entries stored on behalf of an owner
+	replicaHits       atomic.Int64 // requests served from held peer bytes
+	replicaStores     atomic.Int64 // replica pushes stored for an owner
 	replicaPushes     atomic.Int64 // entries pushed to a replica
 	replicaPushErrors atomic.Int64 // pushes that failed (best-effort)
 	hopCapLocal       atomic.Int64 // unowned keys computed locally: hop budget spent
@@ -256,24 +256,25 @@ func (n *Node) Leave(ctx context.Context) error {
 }
 
 // Route implements service.ClusterRouter: serve spec from the cluster
-// when another member owns its key — replica-cache hit first, then a
-// forward to the owner. ok=false sends the caller to local compute,
-// which is always byte-equivalent (the determinism contract).
+// when another member owns its key — held peer bytes first, then a
+// forward to the owner, whose answer this node keeps. ok=false sends
+// the caller to local compute, which is always byte-equivalent (the
+// determinism contract).
 func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.RoutedResult, bool) {
 	owner := n.ring.Load().Owner(spec.Key)
 	if owner == "" || owner == n.self {
+		// The one trust rule: an owner never serves peer bytes; it
+		// computes, and its compute replaces any it holds.
 		return service.RoutedResult{}, false
 	}
-	// A non-owner replica answers from the unified response cache — but
-	// only while the current ring still names it a replica, so stale
-	// entries from before a rebalance route onward instead of serving.
-	if n.onReplicaSet(spec.Key) {
-		if body, ok := n.respCache().GetKey(spec.Key); ok {
-			n.replicaHits.Add(1)
-			trace.ScopeFrom(ctx).Instant("respcache.replica_hit", "cluster")
-			return service.RoutedResult{Status: http.StatusOK, Body: body,
-				Decision: service.DecisionReplicaHit}, true
-		}
+	// A body is a pure function of its key, so bytes held for it —
+	// pushed by the owner or kept from an earlier forward — never go
+	// stale, whatever the ring did since.
+	if body, ok := n.respCache().GetKey(spec.Key); ok {
+		n.replicaHits.Add(1)
+		trace.ScopeFrom(ctx).Instant("respcache.replica_hit", "cluster")
+		return service.RoutedResult{Status: http.StatusOK, Body: body,
+			Decision: service.DecisionReplicaHit}, true
 	}
 	if spec.Hops+1 >= service.MaxHops {
 		// A forwarded request for a key we don't own: the sender's ring
@@ -300,6 +301,7 @@ func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.Rou
 		return service.RoutedResult{}, false
 	}
 	n.forwardServed.Add(1)
+	n.respCache().PutReplica(spec.Key, res.Body)
 	return res, true
 }
 
@@ -310,21 +312,6 @@ func (n *Node) respCache() *service.RespCache {
 		return nil
 	}
 	return n.local.RespCache()
-}
-
-// onReplicaSet reports whether this node is key's current owner or one
-// of its replicas, without allocating: the hot serve path asks on every
-// cache hit.
-func (n *Node) onReplicaSet(key string) bool {
-	return n.ring.Load().OnReplicaSet(key, n.self, 1+n.cfg.Replicas)
-}
-
-// CacheServeable implements service.ClusterRouter: the serving layer's
-// fast path may answer key from cache only while this node is on the
-// key's replica set. Membership changes flip the answer immediately —
-// the ring is the invalidation.
-func (n *Node) CacheServeable(key string) bool {
-	return n.onReplicaSet(key)
 }
 
 // forward replays spec on the owner, hop count incremented and request

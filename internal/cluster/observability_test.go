@@ -93,9 +93,11 @@ func TestClusterRequestIDStability(t *testing.T) {
 		t.Fatalf("owner row = %+v, want the inherited id %s computed locally", r, wantID)
 	}
 
-	// Hop-capped path: a forged spent hop budget for an unowned key
-	// computes locally under a locally minted ID, classified as such.
-	mustSolve(t, tc.urls[follower], p.body(), "1")
+	// Hop-capped path: a forged spent hop budget for an unowned key the
+	// follower holds no bytes for computes locally under a locally
+	// minted ID, classified as such.
+	capped := freshPoint(t, tc.nodes[follower], func(o string) bool { return o != tc.urls[follower] })
+	mustSolve(t, tc.urls[follower], capped.body(), "1")
 	fdoc = fetchRequests(t, tc.urls[follower], "")
 	last := fdoc.Requests[len(fdoc.Requests)-1]
 	if last.ID != fmt.Sprintf("n%d-2", follower) || last.Decision != service.DecisionHopCappedLocal {

@@ -107,7 +107,9 @@ func TestProberKillRecoverFlipsState(t *testing.T) {
 	}
 
 	// Recovery: two successful probes restore healthy, and forwards
-	// resume.
+	// resume — shown on a point the follower has not served, since it
+	// keeps the fallback it computed for p.
+	fresh := freshPoint(t, tc.nodes[follower], func(o string) bool { return o == ownerURL })
 	tc.revive(owner)
 	tc.nodes[follower].ProbeOnce(ctx)
 	if st := peerStateOn(t, tc, follower, ownerURL); st != "unreachable" {
@@ -117,9 +119,9 @@ func TestProberKillRecoverFlipsState(t *testing.T) {
 	if st := peerStateOn(t, tc, follower, ownerURL); st != "healthy" {
 		t.Fatalf("after 2 good probes: %s, want healthy", st)
 	}
-	got = mustSolve(t, tc.urls[follower], p.body(), "")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-recovery solve diverged:\n%s\nvs reference\n%s", got, want)
+	got = mustSolve(t, tc.urls[follower], fresh.body(), "")
+	if wantFresh := mustSolve(t, ref, fresh.body(), ""); !bytes.Equal(got, wantFresh) {
+		t.Fatalf("post-recovery solve diverged:\n%s\nvs reference\n%s", got, wantFresh)
 	}
 	final := tc.nodes[follower].Stats()
 	if final.ForwardsOut != after.ForwardsOut+1 || final.ForwardServed != after.ForwardServed+1 {
@@ -172,6 +174,41 @@ func TestProberKillRecoverFlipsState(t *testing.T) {
 	}
 	if len(served) != 3 || served[1] != "degraded->unreachable" {
 		t.Fatalf("/debug/events peer_health details = %v, want the full ladder:\n%s", served, b)
+	}
+}
+
+// The local fallback a follower computes while the key's owner is down
+// is cached like any compute: the next request is a fast-path hit, not
+// a second solve.
+func TestProberSkipFallbackIsCached(t *testing.T) {
+	tc, _ := probedCluster(t, 3, nil)
+	ref := newReferenceServer(t)
+	p := allPoints()[0]
+	owner := tc.index(t, tc.nodes[0].OwnerOf(p.key(t)))
+	follower := (owner + 1) % 3
+	want := mustSolve(t, ref, p.body(), "")
+
+	tc.kill(owner)
+	for i := 0; i < 4; i++ {
+		tc.nodes[follower].ProbeOnce(context.Background())
+	}
+	if st := peerStateOn(t, tc, follower, tc.urls[owner]); st != "unreachable" {
+		t.Fatalf("owner state after 4 failed probes = %s, want unreachable", st)
+	}
+	for i := 0; i < 2; i++ {
+		if got := mustSolve(t, tc.urls[follower], p.body(), ""); !bytes.Equal(got, want) {
+			t.Fatalf("solve %d during the outage diverged:\n%s\nvs reference\n%s", i, got, want)
+		}
+	}
+	if leaders, _, _ := servingCounters(t, tc.srvs[follower]); leaders != 1 {
+		t.Fatalf("follower leaders = %d, want 1 (the repeat must hit the stored fallback)", leaders)
+	}
+	if st := tc.nodes[follower].Stats(); st.ForwardsSkipped != 1 || st.ForwardsOut != 0 {
+		t.Fatalf("follower stats = %+v, want one skip and no forward", st)
+	}
+	rows := fetchRequests(t, tc.urls[follower], "").Requests
+	if last := rows[len(rows)-1]; last.Decision != service.DecisionRespCacheHit {
+		t.Fatalf("repeat during the outage = %+v, want a fast-path hit", last)
 	}
 }
 

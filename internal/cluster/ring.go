@@ -2,11 +2,12 @@
 // the solve/simulate coalescing keyspace by consistent hashing (virtual
 // nodes) over the service layer's flight keys — the validated request
 // parameters, e.g. "solve|a=2|n=1|h=1|x=1140|nl=false" — forward
-// misses to the owning peer over HTTP, coalesce cluster-wide on the
-// owner's in-flight solve, and replicate hot entries to the key's next
-// replica on the ring. Because every response body is deterministic
-// JSON (internal/service's encoder), a forwarded or replicated answer
-// is byte-identical to a local computation — the paper's argument that
+// misses to the owning peer over HTTP and keep its answer, coalesce
+// cluster-wide on the owner's in-flight solve, and replicate hot
+// entries to the key's next replica on the ring. Because every response
+// body is deterministic JSON (internal/service's encoder), a forwarded
+// or replicated answer is byte-identical to a local computation, and
+// can be served again without invalidation — the paper's argument that
 // the communication substrate, not the endpoints, should own message
 // movement, applied to the serving tier itself.
 package cluster
@@ -120,45 +121,6 @@ func (r *Ring) Replicas(key string, n int) []string {
 		}
 	}
 	return out
-}
-
-// OnReplicaSet reports whether member is among the first n distinct
-// members clockwise from key's position — Replicas without the slice:
-// the serve path asks this on every response-cache hit, so it must not
-// allocate.
-func (r *Ring) OnReplicaSet(key, member string, n int) bool {
-	if len(r.points) == 0 || n <= 0 {
-		return false
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	// The distinct members walked so far live in a small stack array
-	// (replica sets are single digits); a pathological n falls back to
-	// one allocation.
-	var seenArr [8]string
-	seen := seenArr[:0]
-	if n > len(seenArr) {
-		seen = make([]string, 0, n)
-	}
-	for i := r.successor(ringHash(key)); len(seen) < n; i = (i + 1) % len(r.points) {
-		m := r.points[i].node
-		dup := false
-		for _, s := range seen {
-			if s == m {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if m == member {
-			return true
-		}
-		seen = append(seen, m)
-	}
-	return false
 }
 
 // successor finds the index of the first ring point with hash >= h,

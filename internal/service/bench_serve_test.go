@@ -106,9 +106,9 @@ func BenchmarkServeSolveHitObserved(b *testing.B) {
 	}
 }
 
-// replicaRouter is a non-owner's cluster tier for every key: it never
-// grants cache entitlement, and answers each routed key from the
-// response cache as a replica hit, the way Node.Route does.
+// replicaRouter is a non-owner's cluster tier for every key: it answers
+// each routed key from the peer bytes in the response cache as a
+// replica hit, the way Node.Route does.
 type replicaRouter struct{ cache *RespCache }
 
 func (r *replicaRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
@@ -116,7 +116,6 @@ func (r *replicaRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult
 	return RoutedResult{Status: http.StatusOK, Body: body, Decision: DecisionReplicaHit}, ok
 }
 func (*replicaRouter) Offer(ComputeSpec, []byte)                     {}
-func (*replicaRouter) CacheServeable(string) bool                    { return false }
 func (*replicaRouter) MetricsSnapshot() map[string]any               { return nil }
 func (*replicaRouter) Epoch() int64                                  { return 0 }
 func (*replicaRouter) HealthSnapshot() []map[string]any              { return nil }

@@ -15,7 +15,8 @@ import (
 // key's next replica on the ring. Because every response body is
 // deterministic JSON, a forwarded or replicated answer is byte-identical
 // to the one this node would have computed itself, which is what makes
-// the routing transparent.
+// the routing transparent — and what lets a non-owner keep the answer
+// it was sent and serve it again without any invalidation.
 
 // HopsHeader carries the forwarding hop count on intra-cluster
 // requests. A client request has no header (zero hops); each forward
@@ -72,20 +73,16 @@ type RoutedResult struct {
 // A nil ClusterRouter in Config means single-node operation.
 type ClusterRouter interface {
 	// Route serves spec remotely when this node does not own its key:
-	// a replica-cache hit or a forward to the owning peer. ok is false
-	// when the key is locally owned — or the cluster cannot answer
-	// (owner unreachable, draining, hop budget spent) — and the caller
-	// must compute locally; local compute is always byte-equivalent.
+	// peer bytes held here (pushed by the owner or kept from an earlier
+	// forward) or a forward to the owning peer. ok is false when the
+	// key is locally owned — or the cluster cannot answer (owner
+	// unreachable, draining, hop budget spent) — and the caller must
+	// compute locally; local compute is always byte-equivalent. A served
+	// body is the router's to keep: the serving layer never stores it.
 	Route(ctx context.Context, spec ComputeSpec) (res RoutedResult, ok bool)
 	// Offer hands a locally computed 200 result to the cluster for
 	// asynchronous replication to the key's replica node.
 	Offer(spec ComputeSpec, body []byte)
-	// CacheServeable reports whether this node may serve cached response
-	// bytes for key right now — true while the current ring names it the
-	// key's owner or one of its replicas. The serving layer consults it
-	// on every response-cache hit, so membership changes retire a
-	// departed node's cached keys without any invalidation traffic.
-	CacheServeable(key string) bool
 	// MetricsSnapshot reports the node's cluster counters as a
 	// deterministically encodable tree (merged into GET /metrics).
 	MetricsSnapshot() map[string]any

@@ -77,7 +77,6 @@ func TestHopLimitRejection(t *testing.T) {
 type fakeRouter struct {
 	mu        sync.Mutex
 	route     func(spec ComputeSpec) (RoutedResult, bool)
-	serveable func(key string) bool // nil means never serveable from cache
 	routed    []ComputeSpec
 	offered   map[string][]byte
 	fannedOut string // the last path passed to FanOut
@@ -92,16 +91,6 @@ func (f *fakeRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, b
 		return RoutedResult{}, false
 	}
 	return fn(spec)
-}
-
-func (f *fakeRouter) CacheServeable(key string) bool {
-	f.mu.Lock()
-	fn := f.serveable
-	f.mu.Unlock()
-	if fn == nil {
-		return false
-	}
-	return fn(key)
 }
 
 func (f *fakeRouter) Offer(spec ComputeSpec, body []byte) {

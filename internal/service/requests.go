@@ -53,7 +53,7 @@ const (
 	decisionRespCacheHit            // preencoded-response cache fast path
 	decisionFlightFollower          // coalesced onto another request's flight
 	decisionForwarded               // served by the key's owning peer
-	decisionReplicaHit              // served from the local replica cache
+	decisionReplicaHit              // served from peer bytes held here (pushed or forwarded)
 	decisionHopCappedLocal          // unowned key computed locally: hop budget spent
 	decisionLocalCompute            // computed locally by this request's leader
 )

@@ -13,11 +13,12 @@ import "sync"
 // the validated request parameters, so the local fast path builds it in
 // a stack buffer and looks it up without allocating; the cluster tier
 // looks up the same key for replica hits. Each entry records whether
-// this node computed it (local) or a peer pushed it (replica). The fast
-// path serves local entries only, so a replica's hit always flows
-// through the routing layer, where it is gated on ring entitlement and
-// counted as a replica hit. A pushed body is only a claim: a local
-// compute for the same key replaces it.
+// this node computed it (local) or holds a peer's bytes for it — a
+// replica push, or the owner's answer to an earlier forward. The fast
+// path serves local entries only, so peer bytes are always served by
+// the routing layer, which serves them only at a non-owner and counts a
+// replica hit. Peer bytes are only a claim: a local compute for the
+// same key replaces them.
 //
 // The counters are plain integers updated under the cache mutex, so
 // counting on the hit path never allocates.
@@ -28,7 +29,7 @@ type respEntry struct {
 	prev, next *respEntry
 	key        string // flight key
 	body       []byte // preencoded response; immutable once stored
-	local      bool   // computed by this node; false for a replica push
+	local      bool   // computed by this node; false for peer bytes
 }
 
 // RespCacheStats is a point-in-time snapshot of the cache counters.
@@ -36,7 +37,7 @@ type RespCacheStats struct {
 	Hits        int64 // responses served from cached bytes
 	Misses      int64 // fast-path lookups that found nothing
 	Evictions   int64 // entries dropped for capacity
-	Stores      int64 // entries stored (local computes + replica pushes)
+	Stores      int64 // entries stored (local computes + peer bytes)
 	Entries     int64 // current entry count
 	Bytes       int64 // current sum of body bytes
 	TraceBypass int64 // traced requests that skipped the fast path
@@ -70,13 +71,12 @@ func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 	}
 }
 
-// get looks a flight key up on the fast path. Only a locally computed
-// entry answers; a replica push counts as a miss here and is served by
-// the routing layer instead. The key arrives as bytes so the caller can
-// build it on its stack: the map lookup converts it without allocating,
-// and the returned key is the entry's own string. A miss is counted
-// here; the hit is counted by served() only once the caller decides the
-// entry is actually serveable (cluster entitlement may veto it).
+// get looks a flight key up on the fast path and counts the hit or
+// miss. Only a locally computed entry answers; peer bytes count as a
+// miss here and are served by the routing layer instead. The key
+// arrives as bytes so the caller can build it on its stack: the map
+// lookup converts it without allocating, and the returned key is the
+// entry's own string.
 func (c *RespCache) get(key []byte) (ckey string, body []byte, ok bool) {
 	if c == nil {
 		return "", nil, false
@@ -89,6 +89,7 @@ func (c *RespCache) get(key []byte) (ckey string, body []byte, ok bool) {
 		return "", nil, false
 	}
 	c.moveToFrontLocked(e)
+	c.counts.Hits++
 	ckey, body = e.key, e.body
 	c.mu.Unlock()
 	return ckey, body, true
@@ -107,20 +108,9 @@ func (c *RespCache) TraceBypass() {
 	c.mu.Unlock()
 }
 
-// served counts one response actually answered from cached bytes.
-func (c *RespCache) served() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.counts.Hits++
-	c.mu.Unlock()
-}
-
-// GetKey looks a flight key up — the cluster tier's view of
-// the cache (Node.Route serves replicated entries through it). A found
-// entry counts as a hit immediately: the routing layer serves what it
-// finds.
+// GetKey looks a flight key up — the cluster tier's view of the cache
+// (Node.Route serves held peer bytes through it). A found entry counts
+// as a hit immediately: the routing layer serves what it finds.
 func (c *RespCache) GetKey(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -138,12 +128,12 @@ func (c *RespCache) GetKey(key string) ([]byte, bool) {
 	return body, true
 }
 
-// PutReplica stores a replica-pushed body under its flight key. The
-// local fast path never serves it, so a replica's hit always flows
-// through the cluster routing layer (where it is gated on current ring
-// entitlement and counted as a replica hit). A push never replaces an
-// entry already held. Reports whether the key is cached after the call.
-// The body must not be mutated after the call.
+// PutReplica stores peer bytes — a replica push, or the owner's answer
+// to a forward — under their flight key. The local fast path never
+// serves them, so they are always served by the cluster routing layer
+// (only at a non-owner, counted as a replica hit). Peer bytes never
+// replace an entry already held. Reports whether the key is cached
+// after the call. The body must not be mutated after the call.
 func (c *RespCache) PutReplica(key string, body []byte) bool {
 	if key == "" || len(body) == 0 {
 		return false
@@ -185,14 +175,14 @@ func (c *RespCache) put(key string, body []byte, local bool) bool {
 	if e := c.byKey[key]; e != nil {
 		c.moveToFrontLocked(e)
 		if !local || e.local {
-			// A push never displaces a held body, and a repeat local
+			// Peer bytes never displace a held body, and a repeat local
 			// compute has the same bytes by the determinism contract.
 			c.mu.Unlock()
 			return true
 		}
-		// A local compute replaces a replica-pushed body rather than
-		// trusting it: the push endpoint accepts any bytes, and the
-		// fast path is about to serve this entry.
+		// A local compute replaces peer bytes rather than trusting
+		// them: the push endpoint accepts any bytes, and the fast path
+		// is about to serve this entry.
 		c.curBytes += int64(len(body) - len(e.body))
 		e.body, e.local = body, true
 	} else {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,9 +193,9 @@ func TestRespCacheNoErrorCaching(t *testing.T) {
 	}
 }
 
-// Replica pushes are served by the cluster tier only: the local fast
-// path must not serve them (that is the cluster Route's job, where
-// entitlement and replica-hit accounting live).
+// Peer bytes are served by the cluster tier only: the local fast path
+// must not serve them (that is the cluster Route's job, where the owner
+// check and replica-hit accounting live).
 func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	c := newRespCache(8, 0)
 	if !c.PutReplica("some-flight-key", []byte("pushed")) {
@@ -283,13 +283,12 @@ func TestRespCacheConcurrentPushAndCompute(t *testing.T) {
 	}
 }
 
-// The serving layer consults the cluster's entitlement on every hit:
-// flipping a key unserveable sends the request back through the full
-// path even though the bytes are cached.
-func TestRespCacheClusterEntitlementGate(t *testing.T) {
-	fr := &fakeRouter{}
-	var allowed atomic.Bool
-	fr.serveable = func(string) bool { return allowed.Load() }
+// In cluster mode the serving layer stores every fresh local compute —
+// a body is a pure function of its key, so there is nothing to gate —
+// and never stores a body the router served: the cluster tier keeps
+// that one as peer bytes.
+func TestRespCacheClusterStoreRule(t *testing.T) {
+	fr := &fakeRouter{} // declines every key until route is set
 	s, ts := testServer(t, Config{Cluster: fr})
 
 	leaders := func() int64 {
@@ -298,31 +297,39 @@ func TestRespCacheClusterEntitlementGate(t *testing.T) {
 		return s.metrics.c[fLeaders]
 	}
 
-	// Not entitled: the compute happens, and the store is skipped too.
+	// Declined: the compute is stored, and the repeat is a fast-path
+	// hit that never reaches the router.
+	post(t, ts.URL+"/v1/solve", solveBody)
 	post(t, ts.URL+"/v1/solve", solveBody)
 	if n := leaders(); n != 1 {
-		t.Fatalf("leaders = %d, want 1", n)
+		t.Fatalf("leaders = %d, want 1 (the repeat must hit the cache)", n)
 	}
-	if st := s.respCache.Stats(); st.Stores != 0 {
-		t.Fatalf("stored a response this node may not serve: %+v", st)
+	if st := s.respCache.Stats(); st.Stores != 1 || st.Hits != 1 {
+		t.Fatalf("resp_cache = %+v, want 1 store and 1 hit", st)
 	}
-
-	// Entitled: the next compute stores, and the one after hits.
-	allowed.Store(true)
-	post(t, ts.URL+"/v1/solve", solveBody)
-	if st := s.respCache.Stats(); st.Stores != 1 {
-		t.Fatalf("stores = %+v, want 1 once entitled", st)
-	}
-	post(t, ts.URL+"/v1/solve", solveBody)
-	if n := leaders(); n != 2 {
-		t.Fatalf("leaders = %d, want 2 (third request must hit the cache)", n)
+	if n := len(fr.routedSpecs()); n != 1 {
+		t.Fatalf("router asked %d times, want once (the repeat is a fast-path hit)", n)
 	}
 
-	// Entitlement lost (the ring moved on): cached bytes stop serving.
-	allowed.Store(false)
-	post(t, ts.URL+"/v1/solve", solveBody)
-	if n := leaders(); n != 3 {
-		t.Fatalf("leaders = %d, want 3 (unentitled hit must recompute)", n)
+	// Served by the router: the body is written verbatim and not stored,
+	// so every repeat asks the router again.
+	canned := []byte(`{"served":"by-peer"}`)
+	fr.mu.Lock()
+	fr.route = func(ComputeSpec) (RoutedResult, bool) {
+		return RoutedResult{Status: http.StatusOK, Body: canned}, true
+	}
+	fr.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		code, _, body := post(t, ts.URL+"/v1/solve", `{"arch":3,"conversations":1,"server_compute_us":570}`)
+		if code != http.StatusOK || !bytes.Equal(body, canned) {
+			t.Fatalf("routed solve %d: %d %q, want the router's bytes", i, code, body)
+		}
+	}
+	if st := s.respCache.Stats(); st.Stores != 1 || st.Entries != 1 {
+		t.Fatalf("resp_cache = %+v, want only the local compute stored", st)
+	}
+	if n := len(fr.routedSpecs()); n != 3 {
+		t.Fatalf("router asked %d times, want 3 (each routed request)", n)
 	}
 }
 
@@ -345,7 +352,6 @@ func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 		if _, _, ok := c.get(q.appendKey(kb[:0])); !ok {
 			t.Fatal("entry vanished")
 		}
-		c.served()
 		if _, ok := c.GetKey(key); !ok {
 			t.Fatal("key vanished")
 		}

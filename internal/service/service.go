@@ -569,16 +569,15 @@ func (s *Server) queueDepth() int64 {
 // bounded worker pool under the request-timeout context.
 //
 // With a cluster configured, the leader first asks the cluster tier to
-// serve the key — a replica-cache hit or a forward to the owning peer —
+// serve the key — held peer bytes or a forward to the owning peer —
 // before taking a worker slot: routed requests cost this node I/O, not
 // compute, so they never occupy the admission queue. Only a locally
-// owned (or cluster-unserveable) key admits and computes here, and a
-// fresh 200 is offered back for replication.
-// A store callback, when non-nil, receives a leader's fresh 200 body —
-// the response-cache population point. It never sees a cluster-routed
-// body: what another node served is that node's cache's business, and
-// storing it here would let this node answer keys it does not own.
-func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSpec, fn func(ctx context.Context) flightResult, store func(body []byte)) {
+// owned (or cluster-unanswerable) key admits and computes here.
+// A point's fresh 200 (spec.Body set: solve and simulate) is stored in
+// the response cache for the fast path and offered back for
+// replication. A cluster-routed body is never stored here: the cluster
+// tier keeps it as peer bytes, which the fast path does not serve.
+func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSpec, fn func(ctx context.Context) flightResult) {
 	sc := trace.ScopeFrom(r.Context())
 	rec := recordOf(w)
 	res, leader, err := s.flights.do(r.Context(), spec.Key, func() flightResult {
@@ -639,11 +638,9 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 		t1 := time.Now()
 		res := fn(trace.NewContext(ctx, sc))
 		rec.setComputeUS(time.Since(t1))
-		if res.status == http.StatusOK {
-			if store != nil {
-				store(res.body)
-			}
-			if s.cfg.Cluster != nil && spec.Body != nil {
+		if res.status == http.StatusOK && spec.Body != nil {
+			s.respCache.putLocal(spec.Key, res.body)
+			if s.cfg.Cluster != nil {
 				s.cfg.Cluster.Offer(spec, res.body)
 			}
 		}
@@ -887,11 +884,9 @@ func (s *Server) decodePoint(w http.ResponseWriter, r *http.Request, q interface
 }
 
 // serveCached is the zero-allocation fast path: it answers from the
-// response cache when key holds a locally computed body, gated on
-// cluster entitlement at serve time, so a node answers only keys its
-// current ring says it owns or replicates. The key is the caller's
-// stack bytes. Traced requests take the full path: a sampled trace
-// exists to show the pipeline. Reports whether it answered.
+// response cache when key holds a locally computed body. The key is the
+// caller's stack bytes. Traced requests take the full path: a sampled
+// trace exists to show the pipeline. Reports whether it answered.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte) bool {
 	if sc := trace.ScopeFrom(r.Context()); sc != nil {
 		if s.respCache != nil {
@@ -901,10 +896,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte)
 		return false
 	}
 	ckey, body, ok := s.respCache.get(key)
-	if !ok || !s.cacheServeable(ckey) {
+	if !ok {
 		return false
 	}
-	s.respCache.served()
 	rec := recordOf(w)
 	rec.setKey(ckey)
 	rec.setDecision(decisionRespCacheHit)
@@ -913,8 +907,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte)
 }
 
 // computePoint serves a fast-path miss through the flight group under
-// key, with the canonical body a peer can replay it from, and caches a
-// fresh local 200 while this node may serve the key.
+// key, with the canonical body a peer can replay it from.
 func (s *Server) computePoint(w http.ResponseWriter, r *http.Request, route, key string, hops int,
 	canonical func() []byte, fn func(ctx context.Context) flightResult) {
 	rec := recordOf(w)
@@ -922,26 +915,12 @@ func (s *Server) computePoint(w http.ResponseWriter, r *http.Request, route, key
 	sp := trace.ScopeFrom(r.Context()).Begin("forward.encode", "serve")
 	body := canonical()
 	sp.End()
-	spec := ComputeSpec{Route: route, Key: key, Body: body, Hops: hops, RequestID: rec.idString()}
-	s.coalesce(w, r, spec, fn, func(body []byte) {
-		if s.cacheServeable(key) {
-			s.respCache.putLocal(key, body)
-		}
-	})
-}
-
-// cacheServeable reports whether this node may answer key from its
-// response cache right now: always in single-node operation, and only
-// while the cluster ring names it owner or replica otherwise. Checked
-// at serve time — never at store time alone — so a membership change
-// silently retires a departed node's cached keys without invalidation.
-func (s *Server) cacheServeable(key string) bool {
-	return s.cfg.Cluster == nil || s.cfg.Cluster.CacheServeable(key)
+	s.coalesce(w, r, ComputeSpec{Route: route, Key: key, Body: body, Hops: hops, RequestID: rec.idString()}, fn)
 }
 
 // RespCache exposes the preencoded-response cache (nil when disabled).
-// The cluster tier serves replicated entries through it and stores
-// replica pushes into it.
+// The cluster tier stores peer bytes — replica pushes and the answers
+// its forwards bring back — into it and serves them from it.
 func (s *Server) RespCache() *RespCache { return s.respCache }
 
 // simulateRequest is the body of POST /v1/simulate: the workload point
@@ -1063,9 +1042,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	quick := r.URL.Query().Get("full") != "1"
 	key := fmt.Sprintf("exp|%s|quick=%t", e.ID, quick)
-	// Experiments are not cluster-routed (Body nil): the registry is
-	// identical on every node and the outputs are large — coalescing
-	// in-process is enough.
+	// Experiments are neither cluster-routed nor response-cached (Body
+	// nil): the registry is identical on every node and the outputs are
+	// large — coalescing in-process is enough.
 	s.coalesce(w, r, ComputeSpec{Route: "experiment", Key: key}, func(ctx context.Context) flightResult {
 		// Experiments drive the registry's own Run functions, which
 		// pre-date the context plumbing; the worker-pool bound and the
@@ -1080,7 +1059,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			"quick":  quick,
 			"title":  e.Title,
 		})}
-	}, nil)
+	})
 }
 
 // experimentIDs lists the registry ids in paper order.
