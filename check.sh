@@ -354,6 +354,7 @@ check_floor 'internal/cluster' "$CLUSTER_COVER_FLOOR"
 go test ./internal/gtpn -run '^$' -fuzz FuzzParseNet -fuzztime 20s
 go test ./internal/service -run '^$' -fuzz FuzzSolveRequest -fuzztime 20s
 go test ./internal/service -run '^$' -fuzz FuzzClusterMerge -fuzztime 20s
+go test ./internal/trace -run '^$' -fuzz FuzzMergeRemote -fuzztime 20s
 go test -run '^$' -bench . -benchtime 1x . ./internal/gtpn ./internal/service
 # The benchmark recorder itself must stay runnable (parse + schema).
 go run ./cmd/ipcbench -benchtime 1x -bench 'ResolveInstant' -out /dev/null

@@ -86,11 +86,16 @@ type Workload struct {
 	NonLocal bool
 }
 
-// System is one configured node architecture.
+// System is one configured node architecture. It is safe for
+// concurrent use.
 type System struct {
 	arch  Arch
 	hosts int
 	seed  uint64
+	// c memoizes the canonical round trip C per locality (see
+	// roundTripC), Workload.NonLocal → float64. It is shared by
+	// pointer, so the copies MeasureMany makes of a System share it too.
+	c *sync.Map
 }
 
 // Option configures a System.
@@ -105,7 +110,7 @@ func WithSeed(seed uint64) Option { return func(s *System) { s.seed = seed } }
 
 // New creates a System for the given architecture.
 func New(arch Arch, opts ...Option) *System {
-	s := &System{arch: arch, hosts: 1, seed: 1}
+	s := &System{arch: arch, hosts: 1, seed: 1, c: new(sync.Map)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -177,7 +182,7 @@ func (s *System) AnalyzeSweep(ws []Workload) ([]Prediction, error) {
 // reachability graph and warm-starts every stationary solve after the
 // first; non-local points fall back to the per-point §6.6.3 iteration
 // and break the chain. The canonical C round-trip (for OfferedLoad) is
-// solved once per locality, not per point. The first failing point
+// the System's, solved once per locality. The first failing point
 // aborts the sweep.
 func (s *System) AnalyzeSweepContext(ctx context.Context, ws []Workload) ([]Prediction, error) {
 	for i, w := range ws {
@@ -208,14 +213,11 @@ func (s *System) AnalyzeSweepContext(ctx context.Context, ws []Workload) ([]Pred
 type SweepAnalyzer struct {
 	sys   *System
 	local *models.LocalSweepSolver
-	c     map[bool]float64 // canonical round-trip C per locality
 }
 
 // NewSweepAnalyzer starts a fresh sweep chain over this system.
 func (s *System) NewSweepAnalyzer() *SweepAnalyzer {
-	return &SweepAnalyzer{sys: s,
-		local: models.NewLocalSweepSolver(models.SolveOptions{}),
-		c:     map[bool]float64{}}
+	return &SweepAnalyzer{sys: s, local: models.NewLocalSweepSolver(models.SolveOptions{})}
 }
 
 // Reset drops the warm chain; the next point solves cold.
@@ -246,19 +248,32 @@ func (a *SweepAnalyzer) AnalyzeNext(ctx context.Context, w Workload) (Prediction
 		}
 		p = Prediction{Throughput: res.Throughput * 1e6, RoundTripUS: res.RoundTrip, States: res.States}
 	}
-	c, ok := a.c[w.NonLocal]
-	if !ok {
-		var err error
-		if c, err = a.sys.roundTripC(ctx, w.NonLocal); err != nil {
-			return Prediction{}, err
-		}
-		a.c[w.NonLocal] = c
+	c, err := a.sys.roundTripC(ctx, w.NonLocal)
+	if err != nil {
+		return Prediction{}, err
 	}
 	p.OfferedLoad = timing.OfferedLoad(c, w.ServerComputeUS)
 	return p, nil
 }
 
+// roundTripC reports the canonical round trip C behind OfferedLoad: one
+// conversation at X = 0 in the given locality. It depends only on the
+// System, so it is solved once per locality and memoized; a failed solve
+// (a done context, say) is returned and not memoized. Concurrent first
+// calls may each solve it, and store the same value.
 func (s *System) roundTripC(ctx context.Context, nonLocal bool) (float64, error) {
+	if c, ok := s.c.Load(nonLocal); ok {
+		return c.(float64), nil
+	}
+	c, err := s.solveRoundTripC(ctx, nonLocal)
+	if err != nil {
+		return 0, err
+	}
+	s.c.Store(nonLocal, c)
+	return c, nil
+}
+
+func (s *System) solveRoundTripC(ctx context.Context, nonLocal bool) (float64, error) {
 	if nonLocal {
 		res, err := models.SolveNonLocalContext(ctx, s.arch, 1, s.hosts, 0, models.SolveOptions{})
 		if err != nil {

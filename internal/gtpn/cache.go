@@ -1,7 +1,7 @@
 package gtpn
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -77,7 +77,9 @@ func ResetSolveCache() {
 // solveKey derives the cache key for solving n under opts (which must
 // already be normalized). ok is false when the cache cannot be used —
 // the net is unsigned, or the solve carries a stationary start vector,
-// whose bits are start-contract-specific rather than canonical.
+// whose bits are start-contract-specific rather than canonical. The key
+// is the signature followed by "|ms=%d|tol=%x|sw=%d" of the options,
+// appended with strconv ('x' formats a float64 as %x does).
 func (n *Net) solveKey(opts SolveOptions) (string, bool) {
 	if opts.StationaryStart != nil {
 		return "", false
@@ -86,7 +88,15 @@ func (n *Net) solveKey(opts SolveOptions) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return fmt.Sprintf("%s|ms=%d|tol=%x|sw=%d", sig, opts.MaxStates, opts.Tolerance, opts.MaxSweeps), true
+	key := make([]byte, 0, len(sig)+64)
+	key = append(key, sig...)
+	key = append(key, "|ms="...)
+	key = strconv.AppendInt(key, int64(opts.MaxStates), 10)
+	key = append(key, "|tol="...)
+	key = strconv.AppendFloat(key, opts.Tolerance, 'x', -1, 64)
+	key = append(key, "|sw="...)
+	key = strconv.AppendInt(key, int64(opts.MaxSweeps), 10)
+	return string(key), true
 }
 
 // cacheLookup consults the cache, maintaining the counters. The second

@@ -81,3 +81,20 @@ func (br *BenchResolver) ResolveReference() (int, error) {
 	}
 	return len(outs), nil
 }
+
+// CheckSignature reports how n's signatures differ from the fmt
+// reference formatter's (see referenceSignature), or nil.
+func CheckSignature(n *Net) error { return checkSignature(n) }
+
+// CachedNets reports the net behind every solution in the solve cache,
+// so a test can reach nets that a model solve builds internally (the
+// §6.6.3 iterates) without exporting the model's builders.
+func CachedNets() []*Net {
+	solveCache.mu.Lock()
+	defer solveCache.mu.Unlock()
+	nets := make([]*Net, 0, len(solveCache.m))
+	for _, s := range solveCache.m {
+		nets = append(nets, s.net)
+	}
+	return nets
+}

@@ -8,7 +8,8 @@ import (
 // parser must never panic; when it does accept an input, parsing is
 // re-run to check the accepted net is deterministic — the same source
 // yields the same shape signature and dimensions, the property the
-// sweep solver's graph reuse keys on.
+// sweep solver's graph reuse keys on — and both signatures must equal
+// the fmt reference formatter's, names that need quoting included.
 func FuzzParseNet(f *testing.F) {
 	f.Add(fig66Net)
 	f.Add(`
@@ -39,6 +40,9 @@ trans TFlow : Q -> P P delay 1 freq 3/4 when Q > 0
 	f.Add("# just a comment\n")
 	f.Add("place P = -1\ntrans T : P ->\n")
 	f.Add("trans T : A -> B\n")
+	// Names that need quoting: quotes, backslashes, non-ASCII, invalid
+	// UTF-8 and control bytes.
+	f.Add("place P\"q\\é = 1\nplace Q\x01\xff\ntrans T\xe2\x80 : P\"q\\é -> Q\x01\xff delay 2 freq 1/3 resource r\"\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Scanner inputs beyond bufio's line limit just error; huge inputs
 		// only slow the fuzzer down.
@@ -63,6 +67,9 @@ trans TFlow : Q -> P P delay 1 freq 3/4 when Q > 0
 		sig2, ok2 := n2.ShapeSignature()
 		if ok != ok2 || (ok && sig != sig2) {
 			t.Fatalf("shape signature not deterministic: (%q,%v) vs (%q,%v)", sig, ok, sig2, ok2)
+		}
+		if err := checkSignature(n); err != nil {
+			t.Fatal(err)
 		}
 		if len(n.places) != len(n2.places) || len(n.trans) != len(n2.trans) {
 			t.Fatalf("re-parse dimensions differ: %d/%d places, %d/%d transitions",

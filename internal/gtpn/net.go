@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // PlaceID identifies a place within a Net.
@@ -384,36 +383,72 @@ func (n *Net) freeze() {
 // markings, then transitions with input/output multisets, delays,
 // resources, and frequency keys. Two nets built independently but
 // identically (the sweep-point and fixed-point case) produce equal
-// signatures, which is what the solve cache keys on.
+// signatures, which is what the solve cache keys on. The bytes must be
+// what fmt prints for "p%q=%d;" per place and
+// "t%q:i%v:o%v:d%d:r%q:f%q;" per transition, appended here with strconv
+// because fmt dominated a fresh solve's CPU time: cache keys, and the
+// hit counts the goldens record, depend on them (the tests pin them to
+// referenceSignature).
 func (n *Net) computeSignature() {
-	var sb, shb strings.Builder
+	buf := make([]byte, 0, 64*(len(n.places)+len(n.trans)))
 	for _, p := range n.places {
-		fmt.Fprintf(&sb, "p%q=%d;", p.Name, p.Initial)
+		buf = append(buf, 'p')
+		buf = strconv.AppendQuote(buf, p.Name)
+		buf = append(buf, '=')
+		buf = strconv.AppendInt(buf, int64(p.Initial), 10)
+		buf = append(buf, ';')
 	}
-	shb.WriteString(sb.String())
-	n.sigOK = true
-	n.shapeOK = true
-	for _, t := range n.trans {
-		if t.FreqKey == "" {
-			n.sigOK = false
-		} else if n.sigOK {
-			fmt.Fprintf(&sb, "t%q:i%v:o%v:d%d:r%q:f%q;", t.Name, t.In, t.Out, t.Delay, t.Resource, t.FreqKey)
-		}
-		if t.ShapeKey == "" {
-			n.shapeOK = false
-		} else if n.shapeOK {
-			fmt.Fprintf(&shb, "t%q:i%v:o%v:d%d:r%q:f%q;", t.Name, t.In, t.Out, t.Delay, t.Resource, t.ShapeKey)
-		}
-		if !n.sigOK && !n.shapeOK {
-			return
-		}
-	}
+	places := len(buf)
+	buf, n.sigOK = n.appendTransitions(buf, false)
 	if n.sigOK {
-		n.sig = sb.String()
+		n.sig = string(buf)
 	}
+	buf, n.shapeOK = n.appendTransitions(buf[:places], true)
 	if n.shapeOK {
-		n.shapeSig = shb.String()
+		n.shapeSig = string(buf)
 	}
+}
+
+// appendTransitions appends every transition's signature term, keyed by
+// its shape key when shape is set and by its frequency key otherwise.
+// It stops and reports false at the first transition without that key.
+func (n *Net) appendTransitions(dst []byte, shape bool) ([]byte, bool) {
+	for i := range n.trans {
+		t := &n.trans[i]
+		key := t.FreqKey
+		if shape {
+			key = t.ShapeKey
+		}
+		if key == "" {
+			return dst, false
+		}
+		dst = append(dst, 't')
+		dst = strconv.AppendQuote(dst, t.Name)
+		dst = append(dst, ":i"...)
+		dst = appendPlaceIDs(dst, t.In)
+		dst = append(dst, ":o"...)
+		dst = appendPlaceIDs(dst, t.Out)
+		dst = append(dst, ":d"...)
+		dst = strconv.AppendInt(dst, int64(t.Delay), 10)
+		dst = append(dst, ":r"...)
+		dst = strconv.AppendQuote(dst, t.Resource)
+		dst = append(dst, ":f"...)
+		dst = strconv.AppendQuote(dst, key)
+		dst = append(dst, ';')
+	}
+	return dst, true
+}
+
+// appendPlaceIDs appends ids the way %v prints them: "[0 2 2]".
+func appendPlaceIDs(dst []byte, ids []PlaceID) []byte {
+	dst = append(dst, '[')
+	for i, p := range ids {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(p), 10)
+	}
+	return append(dst, ']')
 }
 
 // Signature reports the canonical net signature, and whether one exists:

@@ -7,8 +7,10 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
+	"repro/internal/gtpn"
 	"repro/internal/obs"
 )
 
@@ -181,6 +183,47 @@ func BenchmarkServeSolveMiss(b *testing.B) {
 	b.StopTimer()
 	if w.status != http.StatusOK {
 		b.Fatalf("status %d", w.status)
+	}
+}
+
+// BenchmarkServeSolveFresh is a cluster owner's fresh point: every
+// iteration sends a never-seen X through the default server, so the
+// response cache and the GTPN solve cache both miss and the point is
+// built, signed and solved. The warm-up leaves only what a long-running
+// server has already done: its System's canonical C.
+func BenchmarkServeSolveFresh(b *testing.B) {
+	gtpn.ResetSolveCache() // earlier runs of this benchmark solved the same X values
+	s := New(Config{})
+	h := s.Handler()
+	req, rb, _ := benchSolveRequest()
+	w := &discardRW{h: make(http.Header, 4)}
+	body := func(x float64) []byte {
+		return []byte(`{"arch":2,"conversations":1,"server_compute_us":` + strconv.FormatFloat(x, 'g', -1, 64) + `}`)
+	}
+
+	rb.Reset(body(999))
+	h.ServeHTTP(w, req)
+	if w.status != http.StatusOK {
+		b.Fatalf("warmup status %d", w.status)
+	}
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
+		bodies[i] = body(1000 + float64(i)/4)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.Reset(bodies[i])
+		w.status = 0
+		h.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	if w.status != http.StatusOK {
+		b.Fatalf("status %d", w.status)
+	}
+	if hits := s.respCache.Stats().Hits; hits != 0 {
+		b.Fatalf("%d response-cache hits on never-seen points", hits)
 	}
 }
 

@@ -186,6 +186,12 @@ type Server struct {
 	reqSeq       atomic.Int64 // request IDs minted on compute routes
 	obsSeq       atomic.Int64 // request IDs minted on observability routes
 
+	// systems holds one core.System per validated (arch, hosts), at
+	// [arch-1][hosts-1], for /v1/solve and the /v1/sweep rows, so each
+	// System's canonical round trip C is solved once in the Server's
+	// life rather than once per request.
+	systems [maxArch][maxHosts]*core.System
+
 	// testHookAdmitted, when set, runs in a computation leader after it
 	// holds a worker slot and before it computes — tests use it to hold
 	// requests in flight deterministically.
@@ -204,6 +210,11 @@ func New(cfg Config) *Server {
 		cfg:     cfg.withDefaults(),
 		metrics: newMetrics(),
 		start:   time.Now(),
+	}
+	for a := range s.systems {
+		for h := range s.systems[a] {
+			s.systems[a][h] = core.New(core.Arch(a+1), core.WithHosts(h+1))
+		}
 	}
 	s.history = ringbuf.New[historyPoint](s.cfg.HistorySize)
 	s.requests = ringbuf.New[requestRecord](s.cfg.RecentRequests)
@@ -739,11 +750,14 @@ type solveRequest struct {
 	NonLocal        bool    `json:"non_local"`
 }
 
+// The largest architecture and host count a request may name.
+const maxArch, maxHosts = 4, 4
+
 // validate normalizes and bounds-checks the workload point. The caps
 // protect the daemon from state-space explosions a single request could
 // otherwise trigger.
 func (q *solveRequest) validate() error {
-	if q.Arch < 1 || q.Arch > 4 {
+	if q.Arch < 1 || q.Arch > maxArch {
 		return errors.New("arch must be 1..4")
 	}
 	if q.Conversations < 1 || q.Conversations > 8 {
@@ -752,7 +766,7 @@ func (q *solveRequest) validate() error {
 	if q.Hosts == 0 {
 		q.Hosts = 1
 	}
-	if q.Hosts < 1 || q.Hosts > 4 {
+	if q.Hosts < 1 || q.Hosts > maxHosts {
 		return errors.New("hosts must be 1..4")
 	}
 	if q.ServerComputeUS < 0 || q.ServerComputeUS > 1e7 {
@@ -761,8 +775,9 @@ func (q *solveRequest) validate() error {
 	return nil
 }
 
-func (q *solveRequest) system() *core.System {
-	return core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts))
+// system is the Server's System for a validated arch and host count.
+func (s *Server) system(arch, hosts int) *core.System {
+	return s.systems[arch-1][hosts-1]
 }
 
 func (q *solveRequest) workload() core.Workload {
@@ -843,7 +858,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.computePoint(w, r, "solve", string(key), hops, q.canonicalBody, func(ctx context.Context) flightResult {
-		pred, err := q.system().AnalyzeContext(ctx, q.workload())
+		pred, err := s.system(q.Arch, q.Hosts).AnalyzeContext(ctx, q.workload())
 		if err != nil {
 			return solveError(err)
 		}

@@ -348,6 +348,22 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// solveCacheCounters reads the GTPN solve-cache hits and misses from
+// the server's /metrics.
+func solveCacheCounters(t *testing.T, url string) (hits, misses float64) {
+	_, body := get(t, url+"/metrics")
+	var m struct {
+		Cache struct {
+			Hits   float64 `json:"hits"`
+			Misses float64 `json:"misses"`
+		} `json:"gtpn_cache"`
+	}
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Cache.Hits, m.Cache.Misses
+}
+
 // TestMetricsCacheCounters checks the GTPN solve-cache counters surface
 // through /metrics and move as expected: a cold point misses, a repeat
 // hits.
@@ -358,35 +374,43 @@ func TestMetricsCacheCounters(t *testing.T) {
 	// counters, which the repeat request must actually reach.
 	_, ts := testServer(t, Config{RespCacheEntries: -1})
 
-	read := func() (hits, misses float64) {
-		_, body := get(t, ts.URL+"/metrics")
-		var m struct {
-			Cache struct {
-				Hits   float64 `json:"hits"`
-				Misses float64 `json:"misses"`
-			} `json:"gtpn_cache"`
-		}
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m.Cache.Hits, m.Cache.Misses
-	}
-
-	_, misses0 := read()
+	_, misses0 := solveCacheCounters(t, ts.URL)
 	body := `{"arch":4,"conversations":1,"server_compute_us":570}`
 	if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
-	hits1, misses1 := read()
+	hits1, misses1 := solveCacheCounters(t, ts.URL)
 	if misses1 <= misses0 {
 		t.Fatalf("cold solve did not miss: %v -> %v", misses0, misses1)
 	}
 	if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
-	hits2, _ := read()
+	hits2, _ := solveCacheCounters(t, ts.URL)
 	if hits2 <= hits1 {
 		t.Fatalf("warm solve did not hit: %v -> %v", hits1, hits2)
+	}
+}
+
+// TestFreshSolvesReuseServerC: the Server solves an architecture's
+// canonical round trip C once, so a second fresh point of that
+// architecture costs its own solve (a miss) and never reaches the solve
+// cache for C (no hit).
+func TestFreshSolvesReuseServerC(t *testing.T) {
+	gtpn.ResetSolveCache()
+	t.Cleanup(gtpn.ResetSolveCache)
+	_, ts := testServer(t, Config{})
+
+	if code, _, b := post(t, ts.URL+"/v1/solve", `{"arch":1,"conversations":1,"server_compute_us":333}`); code != 200 {
+		t.Fatalf("solve: %d %s", code, b)
+	}
+	hits1, misses1 := solveCacheCounters(t, ts.URL)
+	if code, _, b := post(t, ts.URL+"/v1/solve", `{"arch":1,"conversations":1,"server_compute_us":777}`); code != 200 {
+		t.Fatalf("solve: %d %s", code, b)
+	}
+	hits2, misses2 := solveCacheCounters(t, ts.URL)
+	if hits2 != hits1 || misses2 != misses1+1 {
+		t.Fatalf("second fresh solve: hits %v -> %v, misses %v -> %v; want hits unchanged, one miss", hits1, hits2, misses1, misses2)
 	}
 }
 

@@ -222,8 +222,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // The channel closes when the row is done or aborted.
 func (s *Server) runSweepRow(ctx context.Context, q *sweepRequest, row sweepRow, out chan<- sweepLine) {
 	defer close(out)
-	sys := core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts))
-	a := sys.NewSweepAnalyzer()
+	a := s.system(q.Arch, q.Hosts).NewSweepAnalyzer()
 	// solvedThrough is the last point index our own analyzer has solved;
 	// whenever we become a point's leader out of sequence (we followed
 	// earlier points, or an error reset the chain), the prefix is

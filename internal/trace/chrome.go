@@ -93,13 +93,12 @@ func writeIDs(bw *bufio.Writer, s *Span) {
 
 // writeTS formats ticks as microseconds: integer µs when exact,
 // otherwise with up to three fractional digits (ticksPerUS is 1 or
-// 1000 in this repository), trailing zeros trimmed.
+// 1000 in this repository), trailing zeros trimmed. Ticks are never
+// negative: local spans are measured forward from the recorder's epoch,
+// and MergeRemote rejects remote spans that are not.
 func writeTS(bw *bufio.Writer, ticks, tpus int64) {
 	ns := ticks * (1000 / tpus) // exact for tpus in {1, 1000}
 	us, rem := ns/1000, ns%1000
-	if rem < 0 { // negative timestamps never occur, but stay safe
-		us, rem = us-1, rem+1000
-	}
 	bw.WriteString(strconv.FormatInt(us, 10))
 	if rem == 0 {
 		return

@@ -1,6 +1,9 @@
 package trace
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Cross-node trace merging. A cluster node serving one hop of another
 // node's traced request records its own spans into a private wall-clock
@@ -51,8 +54,10 @@ func (r *Recorder) MarshalSpans() []byte {
 // the request left this node). Remote spans land on the timeline only,
 // never in the breakdown totals: Totals stays "what this node itself
 // did". Both recorders must use the same tick unit (wall recorders:
-// nanoseconds). Nil-safe and best-effort: malformed data is reported,
-// empty data ignored.
+// nanoseconds). Nil-safe and best-effort: malformed data is reported and
+// merges nothing, empty data is ignored. The data comes from a peer, so
+// a span with a negative start or duration, or whose re-based start is
+// negative or overflows, makes the whole set malformed.
 func (r *Recorder) MergeRemote(node string, data []byte, offTicks int64) error {
 	if r == nil || len(data) == 0 {
 		return nil
@@ -60,6 +65,12 @@ func (r *Recorder) MergeRemote(node string, data []byte, offTicks int64) error {
 	var spans []remoteSpan
 	if err := json.Unmarshal(data, &spans); err != nil {
 		return err
+	}
+	for _, s := range spans {
+		// With s.TS >= 0, a sum that overflows wraps negative.
+		if s.TS < 0 || s.Dur < 0 || s.TS+offTicks < 0 {
+			return fmt.Errorf("trace: remote span %q: start %d, duration %d at offset %d", s.Name, s.TS, s.Dur, offTicks)
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
