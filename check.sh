@@ -12,15 +12,31 @@
 #
 # `./check.sh cluster` runs only the three-node cluster smoke,
 # `./check.sh openloop` only the open-loop load smoke,
-# `./check.sh obsv` only the observability smoke, and
-# `./check.sh slo` only the SLO/health-prober smoke — the same blocks
-# the full gate ends with.
+# `./check.sh obsv` only the observability smoke,
+# `./check.sh slo` only the SLO/health-prober smoke, and
+# `./check.sh fuzz` only the fuzz smoke — the same blocks the full gate
+# runs.
 set -eux
 
 if [ "${1:-}" = "bench" ]; then
     go run ./cmd/ipcbench -out BENCH_gtpn.json
     exit 0
 fi
+
+# Fuzz smoke: every fuzz target runs briefly so a crasher or a broken
+# corpus fails the gate long before a dedicated fuzzing run. This is the
+# one list of targets, as package:target.
+fuzz_smoke() {
+    for target in \
+        ./internal/gtpn:FuzzParseNet \
+        ./internal/service:FuzzSolveRequest \
+        ./internal/service:FuzzClusterMerge \
+        ./internal/trace:FuzzMergeRemote \
+        ./internal/obs:FuzzParseObjective \
+        ./internal/cluster:FuzzControlPlane; do
+        go test "${target%%:*}" -run '^$' -fuzz "^${target#*:}\$" -fuzztime 20s
+    done
+}
 
 # Cluster smoke: three real ipcd processes on loopback form a ring; the
 # same solve through each node must answer byte-identical responses, a
@@ -314,6 +330,11 @@ if [ "${1:-}" = "openloop" ]; then
     exit 0
 fi
 
+if [ "${1:-}" = "fuzz" ]; then
+    fuzz_smoke
+    exit 0
+fi
+
 go build ./...
 go vet ./...
 # The benchmark harness is a module of its own (ipcdbench/go.mod), so the
@@ -349,12 +370,7 @@ check_floor() {
 check_floor 'internal/gtpn' "$GTPN_COVER_FLOOR"
 check_floor 'internal/service' "$SERVICE_COVER_FLOOR"
 check_floor 'internal/cluster' "$CLUSTER_COVER_FLOOR"
-# Fuzz smoke: every fuzz target runs briefly so a crasher or a broken
-# corpus fails the gate long before a dedicated fuzzing run.
-go test ./internal/gtpn -run '^$' -fuzz FuzzParseNet -fuzztime 20s
-go test ./internal/service -run '^$' -fuzz FuzzSolveRequest -fuzztime 20s
-go test ./internal/service -run '^$' -fuzz FuzzClusterMerge -fuzztime 20s
-go test ./internal/trace -run '^$' -fuzz FuzzMergeRemote -fuzztime 20s
+fuzz_smoke
 go test -run '^$' -bench . -benchtime 1x . ./internal/gtpn ./internal/service
 # The benchmark recorder itself must stay runnable (parse + schema).
 go run ./cmd/ipcbench -benchtime 1x -bench 'ResolveInstant' -out /dev/null

@@ -9,7 +9,7 @@
 //	ipcd -queue 16 -timeout 30s  16 queued beyond the workers; 30s deadline
 //	ipcd -pprof localhost:6060   net/http/pprof on a separate listener (off by default)
 //	ipcd -trace-dir traces       sample per-request Chrome traces (every -trace-every requests)
-//	ipcd -resp-cache 4096        preencoded-response cache entries (negative disables)
+//	ipcd -resp-cache 4096        preencoded-response cache entries (negative disables; 64 MiB of bodies at most)
 //	ipcd -log-format json        structured JSON logs and access records on stderr
 //
 // Cluster mode shards the solve keyspace across a fleet of nodes by
@@ -18,16 +18,18 @@
 //	ipcd -addr :8080 -cluster-self http://10.0.0.1:8080 \
 //	     -peers http://10.0.0.2:8080,http://10.0.0.3:8080
 //
-// Each node owns a slice of the ring, forwards misses to the owning
-// peer (coalescing cluster-wide on the owner's in-flight solve), and
-// replicates hot entries to the key's next ring successor. Responses
-// are byte-identical whichever node answers. -cluster-listen moves the
-// cluster traffic (forwards, membership, replication) onto a separate
-// listener; peers must then advertise that address in -peers.
+// Each node owns a slice of the ring (64 virtual nodes per member),
+// forwards misses to the owning peer (coalescing cluster-wide on the
+// owner's in-flight solve), and replicates hot entries to the key's
+// next ring successor. Responses are byte-identical whichever node
+// answers. -cluster-listen moves the cluster traffic (forwards,
+// membership, replication) onto a separate listener; peers must then
+// advertise that address in -peers.
 //
 // Endpoints:
 //
 //	POST /v1/solve            analytic GTPN solution of a workload point
+//	POST /v1/sweep            an ordered grid of solves, streamed as NDJSON; a disconnect cancels it
 //	POST /v1/simulate         replicated machine-level simulation (seeded)
 //	GET  /v1/experiments      the registry, in paper order
 //	GET  /v1/experiments/{id} one regenerated table/figure (?full=1 for full sweeps)
@@ -135,12 +137,10 @@ func main() {
 		historyEvery = flag.Duration("history-every", 10*time.Second, "sampling interval for the /metrics/history ring; 0 disables sampling")
 		historySize  = flag.Int("history-size", 0, "samples retained by /metrics/history (0 = 360, an hour at the default interval)")
 		respCache    = flag.Int("resp-cache", 0, "preencoded-response cache entries (0 = 1024, negative disables)")
-		respCacheB   = flag.Int64("resp-cache-bytes", 0, "preencoded-response cache byte bound (0 = 64 MiB, negative = unbounded)")
 
 		peers         = flag.String("peers", "", "comma-separated base URLs of the cluster's nodes (may include this one); empty = single-node")
 		clusterSelf   = flag.String("cluster-self", "", "this node's advertised base URL on the ring (required with -peers)")
 		clusterListen = flag.String("cluster-listen", "", "serve cluster traffic (forwards, membership, replication) on this separate address; empty = the main listener")
-		vnodes        = flag.Int("cluster-vnodes", 0, "virtual nodes per member on the hash ring (0 = 64)")
 		replicas      = flag.Int("cluster-replicas", 0, "ring successors receiving each hot entry (0 = 1, negative disables replication)")
 
 		logFormat = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
@@ -213,11 +213,10 @@ func main() {
 		}
 		var err error
 		node, err = cluster.New(cluster.Config{
-			Self:         *clusterSelf,
-			Peers:        strings.Split(*peers, ","),
-			VirtualNodes: *vnodes,
-			Replicas:     *replicas,
-			Journal:      journal,
+			Self:     *clusterSelf,
+			Peers:    strings.Split(*peers, ","),
+			Replicas: *replicas,
+			Journal:  journal,
 		})
 		if err != nil {
 			fatal("cluster", "err", err)
@@ -231,7 +230,6 @@ func main() {
 		TraceEvery:       *traceEvery,
 		HistorySize:      *historySize,
 		RespCacheEntries: *respCache,
-		RespCacheBytes:   *respCacheB,
 		NodeName:         name,
 		RecentRequests:   *recentReq,
 		AccessLog:        logger,

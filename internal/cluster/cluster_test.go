@@ -836,7 +836,7 @@ func TestClusterNewOwnerComputesOverHeldBytes(t *testing.T) {
 	key := p.key(t)
 	owner := tc.index(t, tc.nodes[0].OwnerOf(key))
 	rest := slices.Delete(slices.Clone(tc.urls), owner, owner+1)
-	heir := tc.index(t, BuildRing(rest, 0).Owner(key))
+	heir := tc.index(t, BuildRing(rest).Owner(key))
 	want := mustSolve(t, ref, p.body(), "")
 
 	if got := mustSolve(t, tc.urls[heir], p.body(), ""); !bytes.Equal(got, want) {
@@ -963,5 +963,44 @@ func TestClusterLocalComputeReplacesPushedBody(t *testing.T) {
 	}
 	if rc := tc.srvs[owner].RespCache().Stats(); rc.Entries != 1 || rc.Bytes != int64(len(want)) {
 		t.Fatalf("resp_cache = %+v, want 1 entry of %d bytes", rc, len(want))
+	}
+}
+
+// An owner's answer longer than the forward read limit is a failed
+// forward, never a truncated 200: the node computes locally, counts one
+// fallback and keeps nothing for the key. An answer of exactly the limit
+// is still served.
+func TestClusterForwardOverLimitFallsBack(t *testing.T) {
+	for _, c := range []struct {
+		size   int
+		served bool
+	}{{maxPeerBody, true}, {maxPeerBody + 1, false}} {
+		owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Write(bytes.Repeat([]byte{'x'}, c.size))
+		}))
+		node, err := New(Config{Self: "http://self.invalid", Peers: []string{owner.URL}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := service.New(service.Config{Cluster: node})
+		node.Bind(srv)
+		p := freshPoint(t, node, func(o string) bool { return o == owner.URL })
+		res, ok := node.Route(context.Background(),
+			service.ComputeSpec{Route: "solve", Key: p.key(t), Body: []byte(p.body())})
+		owner.Close()
+		if ok != c.served || (ok && len(res.Body) != c.size) {
+			t.Fatalf("%d-byte answer: served=%v with %d bytes, want served=%v", c.size, ok, len(res.Body), c.served)
+		}
+		wantFallback := int64(1)
+		if c.served {
+			wantFallback = 0
+		}
+		if st := node.Stats(); st.ForwardFallback != wantFallback {
+			t.Fatalf("%d-byte answer: forward_fallback = %d, want %d", c.size, st.ForwardFallback, wantFallback)
+		}
+		if _, held := srv.RespCache().GetKey(p.key(t)); held != c.served {
+			t.Fatalf("%d-byte answer: held = %v, want %v", c.size, held, c.served)
+		}
 	}
 }

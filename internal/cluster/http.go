@@ -47,7 +47,7 @@ func decodeJSON(raw []byte, into any) error {
 
 // readBody reads a bounded control-plane request body.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerBody))
 	if err != nil {
 		writeJSONErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return nil, false

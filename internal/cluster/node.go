@@ -29,8 +29,6 @@ type Config struct {
 	// (Self may be included; it is deduplicated). All nodes that agree
 	// on the member set agree on every key's owner.
 	Peers []string
-	// VirtualNodes per member on the ring. 0 means DefaultVirtualNodes.
-	VirtualNodes int
 	// Replicas is how many successor nodes beyond the owner receive a
 	// hot entry. 0 means 1; negative disables replication.
 	Replicas int
@@ -44,20 +42,11 @@ type Config struct {
 	// transitions. Share it with service.Config.Journal so one node's
 	// events land in one ring.
 	Journal *obs.Journal
-	// ProbeTimeout bounds one health probe. 0 means 2 seconds.
-	ProbeTimeout time.Duration
-	// Health tunes the prober's hysteresis ladder; zero values take the
-	// obs defaults (degraded after 2 failures, unreachable after 4,
-	// healthy after 2 successes).
-	Health obs.HealthThresholds
 }
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Self == "" {
 		return c, errors.New("cluster: Config.Self is required")
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
@@ -67,9 +56,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ControlTimeout <= 0 {
 		c.ControlTimeout = 5 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -173,7 +159,7 @@ func (n *Node) rebuildRingLocked() {
 	for m := range n.members {
 		members = append(members, m)
 	}
-	n.ring.Store(BuildRing(members, n.cfg.VirtualNodes))
+	n.ring.Store(BuildRing(members))
 }
 
 // AddMember adds url to the member set, reporting whether membership
@@ -315,11 +301,12 @@ func (n *Node) respCache() *service.RespCache {
 }
 
 // forward replays spec on the owner, hop count incremented and request
-// ID attached. Any non-200 answer is an error: the caller falls back to
-// local compute. When the routing context carries a trace scope, the
-// owner is asked to trace its hop too (X-Ipcd-Trace) and the spans it
-// returns are merged into this request's recording as the owner's own
-// process lane, re-based to the moment the forward left this node.
+// ID attached. Any non-200 answer, or one longer than maxPeerBody, is an
+// error: the caller falls back to local compute. When the routing
+// context carries a trace scope, the owner is asked to trace its hop too
+// (X-Ipcd-Trace) and the spans it returns are merged into this request's
+// recording as the owner's own process lane, re-based to the moment the
+// forward left this node.
 func (n *Node) forward(ctx context.Context, owner string, spec service.ComputeSpec) (service.RoutedResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		owner+"/v1/"+spec.Route, bytes.NewReader(spec.Body))
@@ -344,7 +331,7 @@ func (n *Node) forward(ctx context.Context, owner string, spec service.ComputeSp
 		return service.RoutedResult{}, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	body, err := readPeerBody(resp.Body)
 	sp.End()
 	if err != nil {
 		return service.RoutedResult{}, err
@@ -433,7 +420,7 @@ func (n *Node) call(ctx context.Context, method, url string, body []byte, hdrs .
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	raw, err := readPeerBody(resp.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -441,6 +428,20 @@ func (n *Node) call(ctx context.Context, method, url string, body []byte, hdrs .
 		return nil, fmt.Errorf("%s answered %d: %s", url, resp.StatusCode, bytes.TrimSpace(raw))
 	}
 	return raw, nil
+}
+
+// maxPeerBody bounds a body read from a peer: an owner's answer to a
+// forward, a control-plane reply, a fan-out member's body.
+const maxPeerBody = 8 << 20
+
+// readPeerBody reads a peer's body through EOF. A body longer than
+// maxPeerBody is an error, never an answer cut off at the limit.
+func readPeerBody(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxPeerBody+1))
+	if err == nil && len(body) > maxPeerBody {
+		err = fmt.Errorf("peer body exceeds %d bytes", maxPeerBody)
+	}
+	return body, err
 }
 
 // FanOut implements service.ClusterRouter: path's local-scope body from

@@ -51,8 +51,11 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 	}
 }
 
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
+
 func (n *Node) probePeer(ctx context.Context, peer string) {
-	pctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	t0 := time.Now()
 	var probeErr error
@@ -72,7 +75,7 @@ func (n *Node) probePeer(ctx context.Context, peer string) {
 	n.healthMu.Lock()
 	ph := n.health[peer]
 	if ph == nil {
-		ph = obs.NewPeerHealth(n.cfg.Health)
+		ph = obs.NewPeerHealth()
 		n.health[peer] = ph
 	}
 	var from, to obs.PeerState

@@ -18,11 +18,8 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the ring points each member contributes. 64
-// virtual nodes keep the largest/smallest ownership share within a few
-// tens of percent for small clusters, which is enough to spread the
-// flight keyspace without weighting.
-const DefaultVirtualNodes = 64
+// virtualNodes is the ring points each member contributes.
+const virtualNodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by
 // a member.
@@ -33,20 +30,15 @@ type ringPoint struct {
 
 // Ring is an immutable consistent-hash ring over a member set. Nodes
 // are identified by their advertised base URL; the ring is a pure
-// function of (sorted members, vnodes), so every member that agrees on
+// function of the sorted members, so every member that agrees on
 // the member set agrees on every key's owner.
 type Ring struct {
-	vnodes  int
 	members []string // sorted
 	points  []ringPoint
 }
 
 // BuildRing constructs the ring for members (deduplicated, sorted).
-// vnodes <= 0 means DefaultVirtualNodes.
-func BuildRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+func BuildRing(members []string) *Ring {
 	uniq := map[string]bool{}
 	for _, m := range members {
 		if m != "" {
@@ -59,10 +51,10 @@ func BuildRing(members []string, vnodes int) *Ring {
 	}
 	sort.Strings(sorted)
 
-	r := &Ring{vnodes: vnodes, members: sorted}
-	r.points = make([]ringPoint, 0, len(sorted)*vnodes)
+	r := &Ring{members: sorted}
+	r.points = make([]ringPoint, 0, len(sorted)*virtualNodes)
 	for _, m := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(m + "#" + strconv.Itoa(v)), node: m})
 		}
 	}

@@ -16,8 +16,8 @@ func testKeys(n int) []string {
 
 func TestRingDeterministic(t *testing.T) {
 	members := []string{"http://c:1", "http://a:1", "http://b:1"}
-	r1 := BuildRing(members, 0)
-	r2 := BuildRing([]string{"http://b:1", "http://a:1", "http://c:1", "http://a:1"}, 0)
+	r1 := BuildRing(members)
+	r2 := BuildRing([]string{"http://b:1", "http://a:1", "http://c:1", "http://a:1"})
 	if !reflect.DeepEqual(r1.Members(), r2.Members()) {
 		t.Fatalf("member order not canonical: %v vs %v", r1.Members(), r2.Members())
 	}
@@ -33,7 +33,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingCoversAllMembers(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := BuildRing(members, 0)
+	r := BuildRing(members)
 	owned := map[string]int{}
 	for _, k := range testKeys(1000) {
 		owned[r.Owner(k)]++
@@ -49,8 +49,8 @@ func TestRingCoversAllMembers(t *testing.T) {
 // owner either stays put or becomes the joiner. This is the consistent
 // hashing property the cluster's rebalancing correctness rests on.
 func TestRingAddMovesKeysOnlyToNewMember(t *testing.T) {
-	before := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
-	after := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}, 0)
+	before := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1"})
+	after := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"})
 	moved := 0
 	keys := testKeys(2000)
 	for _, k := range keys {
@@ -73,8 +73,8 @@ func TestRingAddMovesKeysOnlyToNewMember(t *testing.T) {
 // Removing a member must only move that member's keys: everything it
 // did not own keeps its owner.
 func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
-	before := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
-	after := BuildRing([]string{"http://a:1", "http://c:1"}, 0)
+	before := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1"})
+	after := BuildRing([]string{"http://a:1", "http://c:1"})
 	for _, k := range testKeys(2000) {
 		ob, oa := before.Owner(k), after.Owner(k)
 		if ob != "http://b:1" && ob != oa {
@@ -87,7 +87,7 @@ func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
 }
 
 func TestRingReplicasDistinctOwnerFirst(t *testing.T) {
-	r := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
+	r := BuildRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	for _, k := range testKeys(200) {
 		reps := r.Replicas(k, 2)
 		if len(reps) != 2 {
@@ -107,7 +107,7 @@ func TestRingReplicasDistinctOwnerFirst(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := BuildRing(nil, 0)
+	r := BuildRing(nil)
 	if o := r.Owner("anything"); o != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", o)
 	}

@@ -220,9 +220,6 @@ func (s *System) NewSweepAnalyzer() *SweepAnalyzer {
 	return &SweepAnalyzer{sys: s, local: models.NewLocalSweepSolver(models.SolveOptions{})}
 }
 
-// Reset drops the warm chain; the next point solves cold.
-func (a *SweepAnalyzer) Reset() { a.local.Reset() }
-
 // AnalyzeNext solves the next point of the sweep.
 func (a *SweepAnalyzer) AnalyzeNext(ctx context.Context, w Workload) (Prediction, error) {
 	if w.Conversations <= 0 {

@@ -14,11 +14,11 @@ type PeerState uint8
 const (
 	// Healthy: probes answer. The forwarding tier routes normally.
 	Healthy PeerState = iota
-	// Degraded: DegradedAfter consecutive probes failed. Forwards still
+	// Degraded: degradedAfter consecutive probes failed. Forwards still
 	// go out (the dial may well succeed — probe loss can be transient),
 	// but operators see the state and the journal records the crossing.
 	Degraded
-	// Unreachable: UnreachableAfter consecutive probes failed. The
+	// Unreachable: unreachableAfter consecutive probes failed. The
 	// forwarding tier skips this peer proactively — local compute is
 	// byte-identical and costs no dial timeout.
 	Unreachable
@@ -33,36 +33,16 @@ func (s PeerState) String() string {
 	return "unknown"
 }
 
-// HealthThresholds tunes the hysteresis ladder. Zero values take the
-// defaults (2 failures to degrade, 4 to declare unreachable, 2
-// successes to recover).
-type HealthThresholds struct {
-	DegradedAfter    int // consecutive failures before healthy → degraded
-	UnreachableAfter int // consecutive failures before → unreachable
-	HealthyAfter     int // consecutive successes before → healthy
-}
-
-func (t HealthThresholds) withDefaults() HealthThresholds {
-	if t.DegradedAfter <= 0 {
-		t.DegradedAfter = 2
-	}
-	if t.UnreachableAfter <= 0 {
-		t.UnreachableAfter = 4
-	}
-	if t.UnreachableAfter < t.DegradedAfter {
-		t.UnreachableAfter = t.DegradedAfter
-	}
-	if t.HealthyAfter <= 0 {
-		t.HealthyAfter = 2
-	}
-	return t
-}
+// The hysteresis ladder.
+const (
+	degradedAfter    = 2 // consecutive failures before healthy → degraded
+	unreachableAfter = 4 // consecutive failures before → unreachable
+	healthyAfter     = 2 // consecutive successes before → healthy
+)
 
 // PeerHealth tracks one peer. Not internally synchronized — the owner
 // (the cluster prober) serializes observations.
 type PeerHealth struct {
-	thresholds HealthThresholds
-
 	state        PeerState
 	fails        int // consecutive failures
 	oks          int // consecutive successes
@@ -75,9 +55,7 @@ type PeerHealth struct {
 }
 
 // NewPeerHealth creates a tracker in the Healthy state.
-func NewPeerHealth(t HealthThresholds) *PeerHealth {
-	return &PeerHealth{thresholds: t.withDefaults()}
-}
+func NewPeerHealth() *PeerHealth { return &PeerHealth{} }
 
 // ObserveSuccess records one answered probe with its round-trip time.
 // It reports the transition the observation caused, if any.
@@ -95,7 +73,7 @@ func (p *PeerHealth) ObserveSuccess(nowMS, rttUS int64) (from, to PeerState, cha
 		p.rttEWMAUS = (7*p.rttEWMAUS + rttUS) / 8
 	}
 	from = p.state
-	if p.state != Healthy && p.oks >= p.thresholds.HealthyAfter {
+	if p.state != Healthy && p.oks >= healthyAfter {
 		p.state = Healthy
 		p.lastChangeMS = nowMS
 		return from, Healthy, true
@@ -115,9 +93,9 @@ func (p *PeerHealth) ObserveFailure(nowMS int64, errMsg string) (from, to PeerSt
 	from = p.state
 	next := p.state
 	switch {
-	case p.fails >= p.thresholds.UnreachableAfter:
+	case p.fails >= unreachableAfter:
 		next = Unreachable
-	case p.fails >= p.thresholds.DegradedAfter:
+	case p.fails >= degradedAfter:
 		next = Degraded
 	}
 	// The ladder only descends on failures: a degraded peer cannot pop

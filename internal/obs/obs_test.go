@@ -60,7 +60,7 @@ func TestJournalSlogEmission(t *testing.T) {
 }
 
 func TestPeerHealthHysteresis(t *testing.T) {
-	p := NewPeerHealth(HealthThresholds{}) // defaults: 2/4/2
+	p := NewPeerHealth() // ladder: 2/4/2
 	if p.State() != Healthy {
 		t.Fatal("new peer should start healthy")
 	}
@@ -104,7 +104,7 @@ func TestPeerHealthHysteresis(t *testing.T) {
 }
 
 func TestPeerHealthFailureInterruptsRecovery(t *testing.T) {
-	p := NewPeerHealth(HealthThresholds{})
+	p := NewPeerHealth()
 	for i := int64(1); i <= 4; i++ {
 		p.ObserveFailure(i, "x")
 	}
@@ -120,7 +120,7 @@ func TestPeerHealthFailureInterruptsRecovery(t *testing.T) {
 }
 
 func TestPeerHealthRTTEWMA(t *testing.T) {
-	p := NewPeerHealth(HealthThresholds{})
+	p := NewPeerHealth()
 	p.ObserveSuccess(1, 800)
 	if got := p.Snapshot().RTTEWMAUS; got != 800 {
 		t.Errorf("first sample seeds EWMA: got %d, want 800", got)
@@ -175,6 +175,38 @@ func TestParseObjective(t *testing.T) {
 	for _, bad := range []string{"", "route=solve", "p=0", "p=100", "p=abc", "p=99.12345", "lat=50ms,p=99,x=1", "p=99,lat=-1s", "nonsense"} {
 		if _, err := ParseObjective(bad); err == nil {
 			t.Errorf("ParseObjective(%q) should fail", bad)
+		}
+	}
+}
+
+// TestParseObjectiveRejectsMalformed: a latency bound that truncates to
+// 0µs (which would silently make the objective availability-only), a
+// signed percentage fraction, and a route that would need escaping in
+// the ipcd_slo_* label are all refused; their nearest well-formed specs
+// parse.
+func TestParseObjectiveRejectsMalformed(t *testing.T) {
+	for _, bad := range []string{
+		"route=solve,p=99,lat=500ns",
+		"p=99.-5",
+		"p=99.+5",
+		"p=+99",
+		"p=99.",
+		`route=so"lve,p=99`,
+		`route=so\lve,p=99`,
+		"route=Solve,p=99",
+	} {
+		if o, err := ParseObjective(bad); err == nil {
+			t.Errorf("ParseObjective(%q) = %+v, want an error", bad, o)
+		}
+	}
+	for spec, want := range map[string]Objective{
+		"route=solve,p=99,lat=1us":    {Route: "solve", TargetPPM: 990_000, LatencyUS: 1},
+		"route=solve,p=99,lat=1500ns": {Route: "solve", TargetPPM: 990_000, LatencyUS: 1},
+		"p=99.05":                     {Route: "solve", TargetPPM: 990_500},
+		"route=sweep,p=99.5":          {Route: "sweep", TargetPPM: 995_000},
+	} {
+		if o, err := ParseObjective(spec); err != nil || o != want {
+			t.Errorf("ParseObjective(%q) = %+v, %v; want %+v", spec, o, err, want)
 		}
 	}
 }

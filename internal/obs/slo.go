@@ -86,8 +86,10 @@ func formatPPMPct(ppm int64) string {
 
 // ParseObjective parses the ipcd -slo flag syntax:
 // "route=solve,p=99,lat=50ms". p may carry up to four decimal places
-// (p=99.95); lat is any Go duration and is optional (omitting it makes
-// the objective availability-only); route defaults to "solve".
+// (p=99.95); lat is any Go duration of at least 1µs and is optional
+// (omitting it makes the objective availability-only); route defaults
+// to "solve", is drawn from ipcd's route-name charset (lowercase letters
+// and '_'), and when empty matches every route.
 func ParseObjective(s string) (Objective, error) {
 	o := Objective{Route: "solve"}
 	sawP := false
@@ -102,6 +104,9 @@ func ParseObjective(s string) (Objective, error) {
 		}
 		switch key {
 		case "route":
+			if !isRouteName(val) {
+				return Objective{}, fmt.Errorf("slo: route=%q is not a route name", val)
+			}
 			o.Route = val
 		case "p":
 			ppm, err := parsePctPPM(val)
@@ -115,8 +120,8 @@ func ParseObjective(s string) (Objective, error) {
 			if err != nil {
 				return Objective{}, fmt.Errorf("slo: lat: %w", err)
 			}
-			if d <= 0 {
-				return Objective{}, fmt.Errorf("slo: lat must be positive, got %q", val)
+			if d < time.Microsecond {
+				return Objective{}, fmt.Errorf("slo: lat must be at least 1µs, got %q", val)
 			}
 			o.LatencyUS = int64(d / time.Microsecond)
 		default:
@@ -129,22 +134,33 @@ func ParseObjective(s string) (Objective, error) {
 	return o, nil
 }
 
+// isRouteName reports whether s uses only the characters of ipcd's
+// route names (lowercase letters and '_'), so an objective's Name never
+// needs escaping in a Prometheus label value. Empty is every route.
+func isRouteName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < 'a' || c > 'z') && c != '_' {
+			return false
+		}
+	}
+	return true
+}
+
 // parsePctPPM converts "99", "99.9" or "99.95" into parts per million.
+// Both parts are ASCII digits: no sign, and 1–4 fractional digits.
 func parsePctPPM(s string) (int64, error) {
-	whole, frac, _ := strings.Cut(s, ".")
-	w, err := strconv.ParseInt(whole, 10, 64)
-	if err != nil || w < 0 || w > 100 {
+	whole, frac, dot := strings.Cut(s, ".")
+	if !isDigits(whole, 3) {
 		return 0, fmt.Errorf("slo: p=%q is not a percentage", s)
 	}
+	if dot && !isDigits(frac, 4) {
+		return 0, fmt.Errorf("slo: p=%q needs one to four decimal digits", s)
+	}
+	// Both parts are short digit strings, so ParseInt cannot fail.
+	w, _ := strconv.ParseInt(whole, 10, 64)
 	ppm := w * 10_000
-	if frac != "" {
-		if len(frac) > 4 {
-			return 0, fmt.Errorf("slo: p=%q has more than four decimal places", s)
-		}
-		f, err := strconv.ParseInt(frac, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("slo: p=%q is not a percentage", s)
-		}
+	if dot {
+		f, _ := strconv.ParseInt(frac, 10, 64)
 		for i := len(frac); i < 4; i++ {
 			f *= 10
 		}
@@ -154,6 +170,19 @@ func parsePctPPM(s string) (int64, error) {
 		return 0, fmt.Errorf("slo: p=%q must be strictly between 0 and 100", s)
 	}
 	return ppm, nil
+}
+
+// isDigits reports whether s is 1 to max ASCII digits.
+func isDigits(s string, max int) bool {
+	if len(s) == 0 || len(s) > max {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // DefaultObjectives is what a node tracks when no -slo flag is given:

@@ -32,10 +32,12 @@ type respEntry struct {
 	local      bool   // computed by this node; false for peer bytes
 }
 
-// RespCacheStats is a point-in-time snapshot of the cache counters.
+// RespCacheStats is a point-in-time snapshot of the cache counters. A
+// fast-path lookup that finds held peer bytes counts a miss, and the
+// routing layer's GetKey then counts a hit for the same request.
 type RespCacheStats struct {
 	Hits        int64 // responses served from cached bytes
-	Misses      int64 // fast-path lookups that found nothing
+	Misses      int64 // fast-path lookups that found no locally computed body
 	Evictions   int64 // entries dropped for capacity
 	Stores      int64 // entries stored (local computes + peer bytes)
 	Entries     int64 // current entry count
@@ -62,6 +64,9 @@ type RespCache struct {
 	onHighWater   func(bytes int64)
 	nextHighWater int64
 }
+
+// respCacheMaxBytes bounds a Server's cache by the sum of its bodies.
+const respCacheMaxBytes = 64 << 20
 
 func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 	return &RespCache{

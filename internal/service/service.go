@@ -49,8 +49,6 @@ type Config struct {
 	// RequestTimeout bounds one computation; it becomes the deadline of
 	// the context threaded through core and gtpn.Solve. 0 means 2 minutes.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies. 0 means 1 MiB.
-	MaxBodyBytes int64
 	// TraceDir, when set, samples request traces: every TraceEvery-th
 	// computing request gets a wall-clock span recorder, and its Chrome
 	// trace JSON is written to TraceDir/req-<n>-<route>.json when the
@@ -67,11 +65,8 @@ type Config struct {
 	// RespCacheEntries bounds the preencoded-response cache: identical
 	// solve/simulate requests are answered from stored canonical bytes
 	// without decoding, computing, or re-encoding. 0 means 1024; negative
-	// disables the cache.
+	// disables the cache. Its bodies are bounded by respCacheMaxBytes.
 	RespCacheEntries int
-	// RespCacheBytes bounds the response cache's total body bytes.
-	// 0 means 64 MiB; negative means no byte bound.
-	RespCacheBytes int64
 	// NodeName labels this node in request IDs, trace process lanes,
 	// and access logs. Empty means "ipcd"; ipcd derives it from the
 	// advertised cluster URL in cluster mode.
@@ -120,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Minute
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.TraceEvery <= 0 {
 		c.TraceEvery = 100
 	}
@@ -134,12 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RespCacheEntries < 0 {
 		c.RespCacheEntries = 0 // disabled
-	}
-	if c.RespCacheBytes == 0 {
-		c.RespCacheBytes = 64 << 20
-	}
-	if c.RespCacheBytes < 0 {
-		c.RespCacheBytes = 0 // unbounded
 	}
 	if c.NodeName == "" {
 		c.NodeName = "ipcd"
@@ -162,29 +148,24 @@ func (c Config) withDefaults() Config {
 // Server is the ipcd request-processing core, independent of any
 // listener so tests can drive it through httptest.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	slots    chan struct{} // worker pool: a token per running computation
-	admitted atomic.Int64  // computations running or queued for a slot
-	draining atomic.Bool
-	flights  flightGroup
-	// sweepFlights coalesces /v1/sweep points, keyed by chain prefix. It
-	// is a separate group from flights: sweep leaders run on the request
-	// context and publish retry markers on cancellation, semantics the
-	// solve/simulate flights must never observe.
-	sweepFlights flightGroup
-	metrics      *metrics
-	historyMu    sync.Mutex
-	history      *ringbuf.Ring[historyPoint]
-	requestsMu   sync.Mutex
-	requests     *ringbuf.Ring[requestRecord] // the last RecentRequests completed requests
-	respCache    *RespCache                   // nil when disabled
-	slo          *obs.Tracker                 // nil when SLO tracking is disabled
-	start        time.Time
-	lastShedMS   atomic.Int64 // journal rate limit for shed episodes
-	traceSeq     atomic.Int64 // computing requests seen, for trace sampling
-	reqSeq       atomic.Int64 // request IDs minted on compute routes
-	obsSeq       atomic.Int64 // request IDs minted on observability routes
+	cfg        Config
+	mux        *http.ServeMux
+	slots      chan struct{} // worker pool: a token per running computation
+	admitted   atomic.Int64  // computations running or queued for a slot
+	draining   atomic.Bool
+	flights    flightGroup
+	metrics    *metrics
+	historyMu  sync.Mutex
+	history    *ringbuf.Ring[historyPoint]
+	requestsMu sync.Mutex
+	requests   *ringbuf.Ring[requestRecord] // the last RecentRequests completed requests
+	respCache  *RespCache                   // nil when disabled
+	slo        *obs.Tracker                 // nil when SLO tracking is disabled
+	start      time.Time
+	lastShedMS atomic.Int64 // journal rate limit for shed episodes
+	traceSeq   atomic.Int64 // computing requests seen, for trace sampling
+	reqSeq     atomic.Int64 // request IDs minted on compute routes
+	obsSeq     atomic.Int64 // request IDs minted on observability routes
 
 	// systems holds one core.System per validated (arch, hosts), at
 	// [arch-1][hosts-1], for /v1/solve and the /v1/sweep rows, so each
@@ -196,8 +177,8 @@ type Server struct {
 	// holds a worker slot and before it computes — tests use it to hold
 	// requests in flight deterministically.
 	testHookAdmitted func(route string)
-	// testHookSweepPoint, when set, runs in a sweep point's leader right
-	// after the solve returns, with the stream's context, the point index,
+	// testHookSweepPoint, when set, runs in a sweep row right after a
+	// point's solve returns, with the stream's context, the point index,
 	// and the solve error — tests use it to observe mid-stream
 	// cancellation deterministically (the context is the request's, so a
 	// hook can wait for the server to notice a client disconnect).
@@ -219,7 +200,7 @@ func New(cfg Config) *Server {
 	s.history = ringbuf.New[historyPoint](s.cfg.HistorySize)
 	s.requests = ringbuf.New[requestRecord](s.cfg.RecentRequests)
 	if s.cfg.RespCacheEntries > 0 {
-		s.respCache = newRespCache(s.cfg.RespCacheEntries, s.cfg.RespCacheBytes)
+		s.respCache = newRespCache(s.cfg.RespCacheEntries, respCacheMaxBytes)
 		if s.cfg.Journal != nil {
 			journal, node := s.cfg.Journal, s.cfg.NodeName
 			s.respCache.setHighWaterHook(respCacheHighWaterStart, func(bytes int64) {
@@ -544,24 +525,39 @@ func errResult(status int, msg string) flightResult {
 	return flightResult{status: status, body: marshalDet(map[string]any{"error": msg})}
 }
 
-// acquire admits one computation into the worker pool. It returns a
-// release func on success; ok is false when the admission queue is full
-// (the caller answers 429) or ctx ended while queued.
-func (s *Server) acquire(ctx context.Context) (release func(), ok bool, full bool) {
-	if n := s.admitted.Add(1); n > int64(s.cfg.Workers+s.cfg.QueueDepth) {
-		s.admitted.Add(-1)
-		return nil, false, true
+// admit takes a worker slot for one computation, timing the wait as the
+// request's admission phase. When the admission queue is full, or ctx
+// ends while queued, release is nil and refused is the 429 or 503 to
+// answer instead.
+func (s *Server) admit(ctx context.Context, rec *requestRecord) (release func(), refused flightResult) {
+	sp := trace.ScopeFrom(ctx).Begin("admission.wait", "serve")
+	t0 := time.Now()
+	full := s.admitted.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth)
+	admitted := false
+	if !full {
+		select {
+		case s.slots <- struct{}{}:
+			admitted = true
+		case <-ctx.Done():
+		}
 	}
-	select {
-	case s.slots <- struct{}{}:
+	rec.setWaitUS(time.Since(t0))
+	sp.End()
+	if admitted {
 		return func() {
 			<-s.slots
 			s.admitted.Add(-1)
-		}, true, false
-	case <-ctx.Done():
-		s.admitted.Add(-1)
-		return nil, false, false
+		}, flightResult{}
 	}
+	s.admitted.Add(-1)
+	if full {
+		return nil, flightResult{
+			status: http.StatusTooManyRequests,
+			header: map[string]string{"Retry-After": "1"},
+			body:   marshalDet(map[string]any{"error": "admission queue full"}),
+		}
+	}
+	return nil, errResult(http.StatusServiceUnavailable, "request cancelled while queued")
 }
 
 // queueDepth reports how many admitted computations are waiting for a
@@ -619,20 +615,9 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 			// hop budget means this local compute is the hop-capped kind.
 			rec.setDecision(decisionFromName(rr.Decision))
 		}
-		sp := sc.Begin("admission.wait", "serve")
-		t0 := time.Now()
-		release, ok, full := s.acquire(r.Context())
-		rec.setWaitUS(time.Since(t0))
-		sp.End()
-		if full {
-			return flightResult{
-				status: http.StatusTooManyRequests,
-				header: map[string]string{"Retry-After": "1"},
-				body:   marshalDet(map[string]any{"error": "admission queue full"}),
-			}
-		}
-		if !ok {
-			return errResult(http.StatusServiceUnavailable, "request cancelled while queued")
+		release, refused := s.admit(r.Context(), rec)
+		if release == nil {
+			return refused
 		}
 		defer release()
 		s.metrics.inc(fLeaders)
@@ -685,8 +670,11 @@ var decodePool = sync.Pool{
 	New: func() any { return &decodeState{buf: make([]byte, 0, 4096)} },
 }
 
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 1 << 20
+
 // maxPooledDecodeBuf bounds the buffers the pool retains: a rare
-// near-MaxBodyBytes request must not pin megabytes per pooled slot.
+// near-maxBodyBytes request must not pin megabytes per pooled slot.
 const maxPooledDecodeBuf = 64 << 10
 
 // errBodyTooLarge carries the exact message http.MaxBytesReader used
@@ -720,9 +708,12 @@ func readBounded(dst []byte, r io.Reader, max int64) ([]byte, error) {
 // decodeBody decodes a JSON request body with a size limit, through
 // pooled read buffers. Decoder semantics are preserved exactly (one
 // value decoded, unknown fields rejected, trailing bytes tolerated).
+// The body is read through EOF, which is when net/http starts watching
+// the connection: a sweep relies on it to have a client disconnect
+// cancel its in-flight solve.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	ds := decodePool.Get().(*decodeState)
-	buf, err := readBounded(ds.buf[:0], r.Body, s.cfg.MaxBodyBytes)
+	buf, err := readBounded(ds.buf[:0], r.Body, maxBodyBytes)
 	ds.buf = buf
 	if err == nil {
 		ds.rd.Reset(buf)
@@ -874,28 +865,34 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodePoint runs a compute route's preamble: the hop check, the timed
-// decode into q, and validation. ok is false once it has answered.
+// decodePoint runs a point route's preamble: the hop check, then
+// decodeValid. ok is false once it has answered.
 func (s *Server) decodePoint(w http.ResponseWriter, r *http.Request, q interface{ validate() error }) (hops int, ok bool) {
-	rec := recordOf(w)
 	hops, rejected := s.checkHops(w, r)
 	if rejected {
 		return 0, false
 	}
-	rec.setHops(hops)
+	recordOf(w).setHops(hops)
+	return hops, s.decodeValid(w, r, q)
+}
+
+// decodeValid decodes the request body into q, timed as the request's
+// decode phase, and validates it. ok is false once it has answered.
+func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface{ validate() error }) (ok bool) {
+	rec := recordOf(w)
 	sp := trace.ScopeFrom(r.Context()).Begin("decode", "serve")
 	t0 := time.Now()
 	decoded := s.decodeBody(w, r, q)
 	rec.setDecodeUS(time.Since(t0))
 	sp.End()
 	if !decoded {
-		return 0, false
+		return false
 	}
 	if err := q.validate(); err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error(), nil)
-		return 0, false
+		return false
 	}
-	return hops, true
+	return true
 }
 
 // serveCached is the zero-allocation fast path: it answers from the
@@ -1031,12 +1028,6 @@ func solveError(err error) flightResult {
 		return errResult(http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
 	}
 	return errResult(http.StatusInternalServerError, err.Error())
-}
-
-// formatFloatKey formats a float for a coalescing key with the same
-// fixed formatting the response encoder uses.
-func formatFloatKey(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {

@@ -4,32 +4,23 @@
 // The handler is built around the sweep-native solver's warm chain
 // (core.SweepAnalyzer): consecutive points with the same conversation
 // count form a "row" sharing one reachability graph, each point
-// warm-started from its predecessor. Rows are independent chains, so
-// requesting parallelism > 1 solves rows concurrently — and because a
-// point's bytes depend only on its own row's chain, the streamed body
-// is byte-identical at any parallelism. Each point is coalesced through
-// its own singleflight keyed by the row's chain prefix, so concurrent
-// identical sweeps pay for one solve per point.
+// warm-started from its predecessor. Rows are independent chains, each
+// solved on its own analyzer, so requesting parallelism > 1 solves rows
+// concurrently — and because a point's bytes depend only on its own
+// row's chain, the streamed body is byte-identical at any parallelism.
 //
-// Unlike /v1/solve, a sweep leader computes under the REQUEST context:
-// a client that disconnects mid-stream cancels the in-flight solve
+// Unlike /v1/solve, a sweep computes under the REQUEST context: a
+// client that disconnects mid-stream cancels the in-flight solve
 // (nothing is cached — sweep solves bypass the solve cache by design).
-// A follower whose leader was cancelled retries and becomes the leader,
-// replaying its row's chain prefix to reproduce the exact warm-start
-// bits before solving on.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // sweepPointSpec is one grid point of a sweep request.
@@ -104,20 +95,6 @@ func (q *sweepRequest) rows() []sweepRow {
 	return rows
 }
 
-// chainKey names point i's solve for coalescing: the request's shape
-// parameters plus the whole chain prefix of its row, because a
-// warm-started point's bits are a function of every point solved before
-// it on the same graph. The absolute index rides along so coalesced
-// bodies (which echo the index) are interchangeable.
-func (q *sweepRequest) chainKey(row sweepRow, i int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sweep|a=%d|h=%d|nl=%t|i=%d|chain=", q.Arch, q.Hosts, q.NonLocal, i)
-	for j := row.start; j <= i; j++ {
-		fmt.Fprintf(&b, "n=%d,x=%s;", q.Points[j].Conversations, formatFloatKey(q.Points[j].ServerComputeUS))
-	}
-	return b.String()
-}
-
 // sweepLine is one emitted NDJSON line; fail marks a terminal error
 // line, after which the stream ends.
 type sweepLine struct {
@@ -126,45 +103,17 @@ type sweepLine struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	rec := recordOf(w)
-	sc := trace.ScopeFrom(r.Context())
 	var q sweepRequest
-	sp := sc.Begin("decode", "serve")
-	t0 := time.Now()
-	decoded := s.decodeBody(w, r, &q)
-	rec.setDecodeUS(time.Since(t0))
-	sp.End()
-	if !decoded {
+	if !s.decodeValid(w, r, &q) {
 		return
 	}
-	// Read the request body through EOF: net/http only starts the
-	// connection's background read — the mechanism that turns a client
-	// disconnect into request-context cancellation — once the body has
-	// been consumed, and json.Decode stops at the end of the value
-	// without observing EOF. A sweep can compute for a long time between
-	// writes, so without this a vanished client is only noticed on the
-	// next (failed) write, not by the in-flight solve.
-	io.Copy(io.Discard, r.Body)
-	if err := q.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), nil)
-		return
-	}
-
 	// One admission slot covers the whole stream: a sweep is one
 	// computation from the pool's point of view, however many points it
 	// solves.
-	wsp := sc.Begin("admission.wait", "serve")
-	t1 := time.Now()
-	release, ok, full := s.acquire(r.Context())
-	rec.setWaitUS(time.Since(t1))
-	wsp.End()
-	if full {
-		writeDet(w, http.StatusTooManyRequests, map[string]string{"Retry-After": "1"},
-			marshalDet(map[string]any{"error": "admission queue full"}))
-		return
-	}
-	if !ok {
-		writeErr(w, http.StatusServiceUnavailable, "request cancelled while queued", nil)
+	rec := recordOf(w)
+	release, refused := s.admit(r.Context(), rec)
+	if release == nil {
+		writeDet(w, refused.status, refused.header, refused.body)
 		return
 	}
 	defer release()
@@ -217,85 +166,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runSweepRow solves one row's points in chain order, coalescing each
-// point through the sweep flight group, and sends the emitted lines.
-// The channel closes when the row is done or aborted.
+// runSweepRow solves one row's points in chain order on the row's own
+// analyzer and sends the emitted lines. The channel closes when the row
+// is done or a point fails.
 func (s *Server) runSweepRow(ctx context.Context, q *sweepRequest, row sweepRow, out chan<- sweepLine) {
 	defer close(out)
 	a := s.system(q.Arch, q.Hosts).NewSweepAnalyzer()
-	// solvedThrough is the last point index our own analyzer has solved;
-	// whenever we become a point's leader out of sequence (we followed
-	// earlier points, or an error reset the chain), the prefix is
-	// replayed first so the warm-start bits match the chain contract.
-	solvedThrough := row.start - 1
 	for i := row.start; i < row.end; i++ {
-		key := q.chainKey(row, i)
-		var res flightResult
-		for attempt := 0; ; attempt++ {
-			fr, leader, err := s.sweepFlights.do(ctx, key, func() flightResult {
-				if solvedThrough != i-1 {
-					a.Reset()
-					for j := row.start; j < i; j++ {
-						if _, err := a.AnalyzeNext(ctx, q.workload(j)); err != nil {
-							solvedThrough = row.start - 2
-							return s.sweepPointResult(ctx, q, j, core.Prediction{}, err)
-						}
-					}
-				}
-				pred, err := a.AnalyzeNext(ctx, q.workload(i))
-				if err != nil {
-					solvedThrough = row.start - 2
-				} else {
-					solvedThrough = i
-				}
-				if s.testHookSweepPoint != nil {
-					s.testHookSweepPoint(ctx, i, err)
-				}
-				return s.sweepPointResult(ctx, q, i, pred, err)
-			})
-			if err != nil {
-				return // our client is gone and we were only following
-			}
-			if !leader && fr.status == 0 {
-				// The flight's leader was cancelled mid-solve; its result is
-				// not a real answer. Retry — the flight is gone, so we (or
-				// another waiter) become the new leader and replay the chain.
-				if attempt < 8 {
-					continue
-				}
-			}
-			if leader {
-				s.metrics.inc(fLeaders)
-			} else {
-				s.metrics.inc(fCoalesced)
-				// Following advanced the stream but not our analyzer: the
-				// next leadership must replay.
-				solvedThrough = row.start - 2
-			}
-			res = fr
-			break
+		pred, err := a.AnalyzeNext(ctx, q.workload(i))
+		s.metrics.inc(fLeaders)
+		if s.testHookSweepPoint != nil {
+			s.testHookSweepPoint(ctx, i, err)
 		}
 		// Never blocks: out is buffered to the row's full length.
-		out <- sweepLine{body: res.body, fail: res.status != http.StatusOK}
-		if res.status != http.StatusOK {
+		out <- sweepPointLine(q, i, pred, err)
+		if err != nil {
 			return
 		}
 	}
 }
 
-// sweepPointResult encodes one point's NDJSON line. A cancelled leader
-// publishes status 0 — a retry marker for followers, and a terminal
-// error line for the leader's own stream.
-func (s *Server) sweepPointResult(ctx context.Context, q *sweepRequest, i int, pred core.Prediction, err error) flightResult {
+// sweepPointLine encodes point i's NDJSON line; an error line is
+// terminal.
+func sweepPointLine(q *sweepRequest, i int, pred core.Prediction, err error) sweepLine {
 	if err != nil {
-		status := http.StatusInternalServerError
-		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status = 0
-		}
-		return flightResult{status: status,
-			body: marshalDet(map[string]any{"error": err.Error(), "index": i})}
+		return sweepLine{body: marshalDet(map[string]any{"error": err.Error(), "index": i}), fail: true}
 	}
-	body := map[string]any{
+	return sweepLine{body: marshalDet(map[string]any{
 		"arch":              q.Arch,
 		"conversations":     q.Points[i].Conversations,
 		"hosts":             q.Hosts,
@@ -306,6 +203,5 @@ func (s *Server) sweepPointResult(ctx context.Context, q *sweepRequest, i int, p
 		"server_compute_us": q.Points[i].ServerComputeUS,
 		"states":            pred.States,
 		"throughput_rps":    pred.Throughput,
-	}
-	return flightResult{status: http.StatusOK, body: marshalDet(body)}
+	})}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,54 +167,67 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-// TestSweepCoalescing: two concurrent identical sweeps share each
-// point's solve through the chain-keyed flight group.
-func TestSweepCoalescing(t *testing.T) {
+// TestSweepRowsSolveIndependently: two concurrent identical sweeps
+// share no solve. Each row solves its own chain on its own analyzer, so
+// the first sweep to finish point 0 can wait there until the other has
+// solved point 0 too; both then stream the same bytes, nothing counts as
+// coalesced, and every point of both sweeps counts one leader.
+func TestSweepRowsSolveIndependently(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 4})
 	const req = `{"arch":2,"points":[{"conversations":1,"server_compute_us":0},{"conversations":1,"server_compute_us":1140}]}`
-	key0 := "sweep|a=2|h=1|nl=false|i=0|chain=n=1,x=0;"
+	const points = 2
+	counters := func() (leaders, coalesced int64) {
+		s.metrics.mu.Lock()
+		defer s.metrics.mu.Unlock()
+		return s.metrics.c[fLeaders], s.metrics.c[fCoalesced]
+	}
+	leaders0, coalesced0 := counters()
 
-	block := make(chan struct{})
-	solved := make(chan int, 8)
+	var solved0 atomic.Int32
+	both := make(chan struct{})
 	s.testHookSweepPoint = func(_ context.Context, i int, err error) {
-		solved <- i
-		if i == 0 {
-			<-block // hold the first point's flight open
+		if i != 0 {
+			return
+		}
+		switch solved0.Add(1) {
+		case 1:
+			select {
+			case <-both:
+			case <-time.After(5 * time.Second):
+				t.Error("the second sweep never solved point 0 itself")
+			}
+		case 2:
+			close(both)
 		}
 	}
 	type res struct {
 		code int
 		body []byte
+		err  error
 	}
 	results := make(chan res, 2)
 	for k := 0; k < 2; k++ {
 		go func() {
-			code, _, body := postStream(t, ts.URL+"/v1/sweep", req)
-			results <- res{code, body}
+			code, body, err := postRaw(ts.URL+"/v1/sweep", req)
+			results <- res{code, body, err}
 		}()
 	}
-	<-solved // one leader is inside point 0's flight
-	// Wait until the other request is blocked on the same flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.sweepFlights.waitersFor(key0) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second sweep never coalesced on point 0")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
 	a, b := <-results, <-results
+	if a.err != nil || b.err != nil {
+		t.Fatalf("sweeps: %v, %v", a.err, b.err)
+	}
 	if a.code != http.StatusOK || b.code != http.StatusOK {
 		t.Fatalf("sweeps: %d %d", a.code, b.code)
 	}
 	if !bytes.Equal(a.body, b.body) {
-		t.Fatalf("coalesced sweeps returned different bytes:\n%s\nvs\n%s", a.body, b.body)
+		t.Fatalf("identical sweeps returned different bytes:\n%s\nvs\n%s", a.body, b.body)
 	}
-	s.metrics.mu.Lock()
-	coalesced := s.metrics.c[fCoalesced]
-	s.metrics.mu.Unlock()
-	if coalesced == 0 {
-		t.Fatal("no point was coalesced")
+	leaders, coalesced := counters()
+	if coalesced != coalesced0 {
+		t.Fatalf("coalesced grew by %d, want 0", coalesced-coalesced0)
+	}
+	if leaders-leaders0 != 2*points {
+		t.Fatalf("leaders grew by %d, want %d", leaders-leaders0, 2*points)
 	}
 }
 
