@@ -31,6 +31,7 @@ fuzz_smoke() {
         ./internal/gtpn:FuzzParseNet \
         ./internal/service:FuzzSolveRequest \
         ./internal/service:FuzzClusterMerge \
+        ./internal/service:FuzzRequestID \
         ./internal/trace:FuzzMergeRemote \
         ./internal/obs:FuzzParseObjective \
         ./internal/cluster:FuzzControlPlane; do
@@ -40,11 +41,12 @@ fuzz_smoke() {
 
 # Cluster smoke: three real ipcd processes on loopback form a ring; the
 # same solve through each node must answer byte-identical responses, a
-# repeat of it through each node must cost no forward (a non-owner keeps
-# the owner's answer), the aggregated metrics view must see every
-# member, and a round-robin ipcload pass across all three must finish
-# with zero errors and zero cross-node response mismatches (its digest
-# is computed over bodies from every target).
+# repeat of it through each node must be a fast-path answer at owner and
+# non-owners alike — no forward and no cache miss (a non-owner serves
+# the owner's answer it keeps) — the aggregated metrics view must see
+# every member, and a round-robin ipcload pass across all three must
+# finish with zero errors and zero cross-node response mismatches (its
+# digest is computed over bodies from every target).
 cluster_smoke() {
     go build -o /tmp/ipcd.check ./cmd/ipcd
     CLUSTER_PIDS=""
@@ -75,19 +77,20 @@ cluster_smoke() {
     cmp /tmp/cluster_solve_18081.json /tmp/cluster_solve_18083.json
     # Every node now holds the answer — its own compute, or the owner's
     # bytes kept from its forward or pushed to it — so the same solve
-    # through every node again must leave each node's forwards_out as it
-    # was.
-    forwards_out() {
+    # through every node again must be a fast-path answer everywhere: it
+    # leaves each node's forwards_out and every "misses" count (response
+    # cache and solve cache) as they were.
+    repeat_counters() {
         for port in 18081 18082 18083; do
-            curl -fsS "http://127.0.0.1:$port/metrics" | grep -o '"forwards_out":[0-9]*'
+            curl -fsS "http://127.0.0.1:$port/metrics" | grep -oE '"(forwards_out|misses)":[0-9]+'
         done
     }
-    forwards_before=$(forwards_out)
+    counters_before=$(repeat_counters)
     for port in 18081 18082 18083; do
         curl -fsS -X POST -H 'Content-Type: application/json' -d "$solve_body" \
             "http://127.0.0.1:$port/v1/solve" | cmp - /tmp/cluster_solve_18081.json
     done
-    test "$(forwards_out)" = "$forwards_before"
+    test "$(repeat_counters)" = "$counters_before"
     curl -fsS "http://127.0.0.1:18081/metrics?scope=cluster" | grep -q '"unreachable":\[\]'
     go run ./cmd/ipcload -targets "$CLUSTER_PEERS" -c 6 -duration 3s
     cleanup_cluster

@@ -824,6 +824,108 @@ func TestClusterForwardedAnswerServesRepeat(t *testing.T) {
 	}
 }
 
+// replayBody is a request body one http.Request replays across runs.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// countingRW is a ResponseWriter with one reused header map; it keeps
+// the status and the last body written.
+type countingRW struct {
+	h      http.Header
+	status int
+	body   []byte
+}
+
+func (w *countingRW) Header() http.Header         { return w.h }
+func (w *countingRW) Write(p []byte) (int, error) { w.body = p; return len(p), nil }
+func (w *countingRW) WriteHeader(code int)        { w.status = code }
+
+// A non-owner's held-bytes hit costs what a single node's hit costs:
+// the service's fast path serves the peer bytes after one owner check,
+// and Node.Handler hands a non-/cluster/ request straight to the
+// service mux. Both sides are driven in process through one replayed
+// request, so only the serving path allocates.
+func TestClusterHeldHitAllocsMatchSingleNode(t *testing.T) {
+	const owner = "http://owner.invalid"
+	node, err := New(Config{Self: "http://self.invalid", Peers: []string{owner}, Replicas: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Config{Cluster: node})
+	node.Bind(srv)
+	p := freshPoint(t, node, func(o string) bool { return o == owner })
+	payload := []byte(p.body())
+
+	allocs := func(h http.Handler) (float64, *countingRW) {
+		rb := &replayBody{}
+		rb.Reset(payload)
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", rb)
+		w := &countingRW{h: make(http.Header, 4)}
+		return testing.AllocsPerRun(200, func() {
+			rb.Reset(payload)
+			w.status = 0
+			h.ServeHTTP(w, req)
+		}), w
+	}
+
+	single := service.New(service.Config{})
+	singleAllocs, sw := allocs(single.Handler())
+	if sw.status != http.StatusOK || single.RespCache().Stats().Hits == 0 {
+		t.Fatalf("single node: status %d, resp_cache %+v, want 200 hits", sw.status, single.RespCache().Stats())
+	}
+	if !srv.RespCache().PutReplica(p.key(t), sw.body) {
+		t.Fatal("peer bytes refused")
+	}
+	heldAllocs, hw := allocs(node.Handler())
+	if hw.status != http.StatusOK || !bytes.Equal(hw.body, sw.body) {
+		t.Fatalf("held hit: status %d body %q, want 200 and the single node's bytes", hw.status, hw.body)
+	}
+	if leaders, _, served := servingCounters(t, srv); leaders != 0 || served != 201 {
+		t.Fatalf("held hit: leaders=%d cluster_served=%d, want 0 and 201 (one warm-up run)", leaders, served)
+	}
+	if st := node.Stats(); st.ReplicaHits != 201 || st.ForwardsOut != 0 {
+		t.Fatalf("held hit: stats %+v, want 201 replica hits and no forwards", st)
+	}
+	if heldAllocs != singleAllocs {
+		t.Fatalf("non-owner held-bytes hit allocates %v per request through Node.Handler, single-node hit %v; want equal",
+			heldAllocs, singleAllocs)
+	}
+}
+
+// A traced request skips the fast path, so held peer bytes reach it
+// through Route, which applies the same owner check: a non-owner's
+// traced repeat is a replica hit, with no second forward and no compute.
+func TestClusterTracedRepeatServesHeldBytesThroughRoute(t *testing.T) {
+	ref := newReferenceServer(t)
+	tc := newTestCluster(t, 3, func(_ int, ccfg *Config, scfg *service.Config) {
+		ccfg.Replicas = -1 // the held bytes come from the forward alone
+		scfg.TraceDir = t.TempDir()
+		scfg.TraceEvery = 1
+	})
+	p := allPoints()[0]
+	other := (tc.index(t, tc.nodes[0].OwnerOf(p.key(t))) + 1) % 3
+	want := mustSolve(t, ref, p.body(), "")
+	for i := 0; i < 2; i++ {
+		if got := mustSolve(t, tc.urls[other], p.body(), ""); !bytes.Equal(got, want) {
+			t.Fatalf("traced solve %d diverges:\n got: %s\nwant: %s", i, got, want)
+		}
+	}
+	if st := tc.nodes[other].Stats(); st.ForwardsOut != 1 || st.ReplicaHits != 1 {
+		t.Fatalf("stats = %+v, want one forward, then one replica hit", st)
+	}
+	if leaders, _, served := servingCounters(t, tc.srvs[other]); leaders != 0 || served != 2 {
+		t.Fatalf("leaders=%d cluster_served=%d, want 0 and 2", leaders, served)
+	}
+	if rc := tc.srvs[other].RespCache().Stats(); rc.TraceBypass != 2 || rc.Hits != 1 || rc.Misses != 0 {
+		t.Fatalf("resp_cache = %+v, want 2 trace bypasses and Route's one hit", rc)
+	}
+	rows := fetchRequests(t, tc.urls[other], "").Requests
+	if len(rows) != 2 || rows[0].Decision != service.DecisionForwarded || rows[1].Decision != service.DecisionReplicaHit {
+		t.Fatalf("rows = %+v, want forwarded then replica_hit", rows)
+	}
+}
+
 // Held peer bytes are never an owner's answer: once the ring makes the
 // holding node the key's owner, its next request computes, and its own
 // bytes replace the held ones as the fast path's answer.

@@ -6,11 +6,12 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strings"
 
 	"repro/internal/service"
 )
 
-// The cluster control plane: a handful of JSON endpoints mounted above
+// The cluster control plane: a handful of JSON endpoints served beside
 // the node's serving mux. They are intentionally outside the service
 // layer's instrumentation — membership and replication must keep
 // working while the node drains, exactly like the observability
@@ -21,21 +22,31 @@ import (
 //	POST /cluster/v1/replicate  {"key", "body"} store a replicated response (replica set only)
 //	GET  /cluster/v1/members    the member set, epoch, and self
 
-// Handler mounts the cluster endpoints above the bound server's own
+// Handler serves the cluster endpoints beside the bound server's own
 // handler. Serve this on the cluster listener (or the main one when the
-// two are shared); forwarded /v1/* requests pass straight through to
-// the service mux.
+// two are shared). Only /cluster/ paths reach the control mux, whose
+// "/" fallback passes any path it does not match on to the service mux.
+// Every other request — client traffic and forwarded /v1/* alike — goes
+// straight to the service mux, so it pays one pattern match, as on a
+// single node.
 func (n *Node) Handler() http.Handler {
 	if n.local == nil {
 		panic("cluster: Handler called before Bind")
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/v1/join", n.handleJoin)
-	mux.HandleFunc("POST /cluster/v1/leave", n.handleLeave)
-	mux.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
-	mux.HandleFunc("GET /cluster/v1/members", n.handleMembers)
-	mux.Handle("/", n.local.Handler())
-	return mux
+	svc := n.local.Handler()
+	ctl := http.NewServeMux()
+	ctl.HandleFunc("POST /cluster/v1/join", n.handleJoin)
+	ctl.HandleFunc("POST /cluster/v1/leave", n.handleLeave)
+	ctl.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
+	ctl.HandleFunc("GET /cluster/v1/members", n.handleMembers)
+	ctl.Handle("/", svc)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/cluster/") {
+			ctl.ServeHTTP(w, r)
+			return
+		}
+		svc.ServeHTTP(w, r)
+	})
 }
 
 // decodeJSON strictly decodes one JSON value.
@@ -120,11 +131,11 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeJSONErr(w, http.StatusBadRequest, "replicate wants {\"key\", \"body\"}")
 		return
 	}
-	// Only a member of the key's replica set stores a push. Route serves
-	// held peer bytes at every non-owner, so a push stored anywhere would
+	// Only a member of the key's replica set stores a push. Held peer
+	// bytes answer at every non-owner, so a push stored anywhere would
 	// let one POST from the public listener answer the key fleet-wide.
-	// The push lands as peer bytes: the local fast path never serves
-	// them, and a local compute of the key replaces them.
+	// The push lands as peer bytes: the key's owner never serves them,
+	// and a local compute of the key replaces them.
 	stored := slices.Contains(n.ReplicasOf(q.Key), n.self) &&
 		n.respCache().PutReplica(q.Key, []byte(q.Body))
 	if stored {

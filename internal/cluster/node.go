@@ -67,7 +67,7 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Local is the node's own serving core — implemented by
-// *service.Server. The node mounts its handler under the cluster
+// *service.Server. The node serves its handler beside the cluster
 // endpoints and stores/serves peer bytes (replica pushes and kept
 // forward answers) through its preencoded-response cache — one cache
 // for both the local fast path and the cluster tier.
@@ -241,21 +241,40 @@ func (n *Node) Leave(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
+// owner is the one trust rule, shared by ServeHeld and Route: it
+// reports key's owner on the current ring and whether this node must
+// compute key itself. An owner never serves peer bytes; it computes, and
+// its compute replaces any it holds. An empty ring owns nothing, so a
+// node that has left a fleet of one computes too.
+func (n *Node) owner(key string) (owner string, computes bool) {
+	owner = n.ring.Load().Owner(key)
+	return owner, owner == "" || owner == n.self
+}
+
+// ServeHeld implements service.ClusterRouter: the service's fast path
+// may answer key from held peer bytes unless this node owns it, and each
+// such answer is a replica hit. A body is a pure function of its key, so
+// bytes held for it — pushed by the owner or kept from an earlier
+// forward — never go stale, whatever the ring did since.
+func (n *Node) ServeHeld(key string) bool {
+	if _, computes := n.owner(key); computes {
+		return false
+	}
+	n.replicaHits.Add(1)
+	return true
+}
+
 // Route implements service.ClusterRouter: serve spec from the cluster
-// when another member owns its key — held peer bytes first, then a
+// when another member owns its key — held peer bytes first (a traced
+// request skips the fast path that serves them otherwise), then a
 // forward to the owner, whose answer this node keeps. ok=false sends
 // the caller to local compute, which is always byte-equivalent (the
 // determinism contract).
 func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.RoutedResult, bool) {
-	owner := n.ring.Load().Owner(spec.Key)
-	if owner == "" || owner == n.self {
-		// The one trust rule: an owner never serves peer bytes; it
-		// computes, and its compute replaces any it holds.
+	owner, computes := n.owner(spec.Key)
+	if computes {
 		return service.RoutedResult{}, false
 	}
-	// A body is a pure function of its key, so bytes held for it —
-	// pushed by the owner or kept from an earlier forward — never go
-	// stale, whatever the ring did since.
 	if body, ok := n.respCache().GetKey(spec.Key); ok {
 		n.replicaHits.Add(1)
 		trace.ScopeFrom(ctx).Instant("respcache.replica_hit", "cluster")

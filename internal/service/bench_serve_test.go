@@ -108,11 +108,13 @@ func BenchmarkServeSolveHitObserved(b *testing.B) {
 	}
 }
 
-// replicaRouter is a non-owner's cluster tier for every key: it answers
-// each routed key from the peer bytes in the response cache as a
-// replica hit, the way Node.Route does.
+// replicaRouter is a non-owner's cluster tier for every key: ServeHeld
+// lets the fast path serve held peer bytes, and Route (which only a
+// traced request would reach) answers from them as a replica hit, the
+// way Node.Route does.
 type replicaRouter struct{ cache *RespCache }
 
+func (*replicaRouter) ServeHeld(string) bool { return true }
 func (r *replicaRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
 	body, ok := r.cache.GetKey(spec.Key)
 	return RoutedResult{Status: http.StatusOK, Body: body, Decision: DecisionReplicaHit}, ok
@@ -123,9 +125,11 @@ func (*replicaRouter) Epoch() int64                                  { return 0 
 func (*replicaRouter) HealthSnapshot() []map[string]any              { return nil }
 func (*replicaRouter) FanOut(context.Context, string, []byte) Fanout { return Fanout{} }
 
-// BenchmarkServeSolveRouted is the non-owner's path: the fast path
-// misses, the request derives its flight key and canonical body, and
-// the cluster tier answers it from a replica entry — no solve.
+// BenchmarkServeSolveRouted is a non-owner's held-bytes hit: the fast
+// path finds peer bytes (a replica push, or the owner's answer kept from
+// a forward), the cluster tier's owner check lets this node serve them,
+// and the request is answered as a replica hit — no flight, no Route
+// call, no solve. It should cost what BenchmarkServeSolveHit does.
 func BenchmarkServeSolveRouted(b *testing.B) {
 	rr := &replicaRouter{}
 	s := New(Config{Cluster: rr})

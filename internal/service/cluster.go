@@ -72,13 +72,21 @@ type RoutedResult struct {
 // ClusterRouter is implemented by the cluster tier (internal/cluster).
 // A nil ClusterRouter in Config means single-node operation.
 type ClusterRouter interface {
+	// ServeHeld reports whether this node may answer key from the peer
+	// bytes its response cache holds for it (pushed by the owner or kept
+	// from an earlier forward) — that is, whether it does not own key on
+	// the current ring — and counts the replica hit when it may. The
+	// fast path asks it with the entry's own key string; an owner falls
+	// through to compute.
+	ServeHeld(key string) bool
 	// Route serves spec remotely when this node does not own its key:
-	// peer bytes held here (pushed by the owner or kept from an earlier
-	// forward) or a forward to the owning peer. ok is false when the
-	// key is locally owned — or the cluster cannot answer (owner
-	// unreachable, draining, hop budget spent) — and the caller must
-	// compute locally; local compute is always byte-equivalent. A served
-	// body is the router's to keep: the serving layer never stores it.
+	// held peer bytes (for traced requests, which skip the fast path)
+	// or a forward to the owning peer. It applies ServeHeld's owner
+	// check. ok is false when the key is locally owned — or the cluster
+	// cannot answer (owner unreachable, draining, hop budget spent) —
+	// and the caller must compute locally; local compute is always
+	// byte-equivalent. A served body is the router's to keep: the
+	// serving layer never stores it.
 	Route(ctx context.Context, spec ComputeSpec) (res RoutedResult, ok bool)
 	// Offer hands a locally computed 200 result to the cluster for
 	// asynchronous replication to the key's replica node.

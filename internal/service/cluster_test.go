@@ -76,10 +76,19 @@ func TestHopLimitRejection(t *testing.T) {
 // side of the cluster hook without real peers.
 type fakeRouter struct {
 	mu        sync.Mutex
+	owns      bool     // this node owns every key: ServeHeld refuses
+	held      []string // the keys ServeHeld was asked about
 	route     func(spec ComputeSpec) (RoutedResult, bool)
 	routed    []ComputeSpec
 	offered   map[string][]byte
 	fannedOut string // the last path passed to FanOut
+}
+
+func (f *fakeRouter) ServeHeld(key string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.held = append(f.held, key)
+	return !f.owns
 }
 
 func (f *fakeRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
@@ -233,5 +242,82 @@ func TestClusterRouterHook(t *testing.T) {
 	// The healthz body echoes the router's membership epoch.
 	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || !bytes.Contains(body, []byte(`"epoch":42`)) {
 		t.Fatalf("healthz with cluster: %d %s, want epoch 42", code, body)
+	}
+}
+
+// Held peer bytes answer the fast path wherever the router's owner
+// check allows, on /v1/solve and /v1/simulate alike: at a non-owner the
+// request is a replica hit, counted as cluster-served, and neither Route
+// nor a leader runs. At the key's owner the same bytes fall through:
+// Route is consulted, the node computes, and its bytes replace the held
+// ones.
+func TestFastPathServesHeldPeerBytes(t *testing.T) {
+	solveKey, err := SolveKey(2, 1, 1, 1140, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := simulateRequest{solveRequest: solveRequest{Arch: 3, Conversations: 2, ServerComputeUS: 1140}, Seconds: 2, Seed: 7}
+	if err := sim.validate(); err != nil {
+		t.Fatal(err)
+	}
+	simKey := string(sim.appendKey(nil))
+	held := []byte("{\"held\":true}\n")
+	for _, tc := range []struct{ path, body, key string }{
+		{"/v1/solve", solveBody, solveKey},
+		{"/v1/simulate", `{"arch":3,"conversations":2,"server_compute_us":1140,"seconds":2,"seed":7}`, simKey},
+	} {
+		for _, owns := range []bool{false, true} {
+			fr := &fakeRouter{owns: owns}
+			s, ts := testServer(t, Config{Cluster: fr})
+			if !s.RespCache().PutReplica(tc.key, held) {
+				t.Fatal("peer bytes refused")
+			}
+			code, _, body := post(t, ts.URL+tc.path, tc.body)
+			if code != http.StatusOK {
+				t.Fatalf("%s owns=%v: %d %s", tc.path, owns, code, body)
+			}
+			fr.mu.Lock()
+			asked := append([]string(nil), fr.held...)
+			fr.mu.Unlock()
+			if len(asked) != 1 || asked[0] != tc.key {
+				t.Fatalf("%s owns=%v: ServeHeld asked for %q, want once for %q", tc.path, owns, asked, tc.key)
+			}
+			var doc struct {
+				Serving struct {
+					ClusterServed int64 `json:"cluster_served"`
+					Leaders       int64 `json:"leaders"`
+				} `json:"serving"`
+				RespCache struct {
+					Hits   int64 `json:"hits"`
+					Misses int64 `json:"misses"`
+				} `json:"resp_cache"`
+			}
+			if err := json.Unmarshal(s.MetricsJSON(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			rows := debugRequests(t, ts.URL).Requests
+			if len(rows) != 1 {
+				t.Fatalf("%s owns=%v: %d request rows, want 1", tc.path, owns, len(rows))
+			}
+			routed := fr.routedSpecs()
+			if !owns {
+				if !bytes.Equal(body, held) || rows[0].Decision != DecisionReplicaHit || rows[0].Key != tc.key ||
+					len(routed) != 0 || doc.Serving.ClusterServed != 1 || doc.Serving.Leaders != 0 ||
+					doc.RespCache.Hits != 1 || doc.RespCache.Misses != 0 {
+					t.Fatalf("%s non-owner: body %q, row %+v, %d routed, %+v; want the held bytes as a fast-path replica hit",
+						tc.path, body, rows[0], len(routed), doc)
+				}
+				continue
+			}
+			if bytes.Equal(body, held) || rows[0].Decision != DecisionLocalCompute || len(routed) != 1 ||
+				doc.Serving.ClusterServed != 0 || doc.Serving.Leaders != 1 ||
+				doc.RespCache.Hits != 0 || doc.RespCache.Misses != 1 {
+				t.Fatalf("%s owner: body %q, row %+v, %d routed, %+v; want Route consulted and a local compute",
+					tc.path, body, rows[0], len(routed), doc)
+			}
+			if got, ok := s.RespCache().GetKey(tc.key); !ok || !bytes.Equal(got, body) {
+				t.Fatalf("%s owner: cache holds %q, want the computed bytes %q", tc.path, got, body)
+			}
+		}
 	}
 }

@@ -3,6 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -120,6 +124,52 @@ func FuzzClusterMerge(f *testing.F) {
 					t.Fatalf("%s merge lists %s as merged and unreachable: %s", name, u, out)
 				}
 			}
+		}
+	})
+}
+
+// safeRequestID is the inherited-ID contract written independently of
+// validInheritedID: 1 to 64 bytes of [A-Za-z0-9._:-].
+var safeRequestID = regexp.MustCompile(`^[A-Za-z0-9._:-]{1,64}$`)
+
+// FuzzRequestID sends an arbitrary X-Ipcd-Request-Id — a header any
+// client can set — through Handler(), on a compute route and on
+// /debug/requests. Nothing may panic; each response echoes the header
+// exactly when it is a safe ID and omits it otherwise, and the request
+// ring stays valid JSON with the solve's row under the inherited ID or a
+// locally minted one.
+func FuzzRequestID(f *testing.F) {
+	for _, seed := range []string{"origin-7", "127.0.0.1:9001-7", `a"} 1`, "sp ace", "x{y", `b\slash`,
+		"", "x\ny", "\xe9t\xe9", strings.Repeat("a", 64), strings.Repeat("a", 65)} {
+		f.Add(seed)
+	}
+	h := New(Config{NodeName: "f"}).Handler()
+	f.Fuzz(func(t *testing.T, raw string) {
+		safe := safeRequestID.MatchString(raw)
+		if validInheritedID(raw) != safe {
+			t.Fatalf("validInheritedID(%q) = %v, want %v", raw, !safe, safe)
+		}
+		serve := func(method, path, body string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(method, path, strings.NewReader(body))
+			req.Header[RequestIDHeader] = []string{raw}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s with ID %q answered %d: %s", method, path, raw, rec.Code, rec.Body.Bytes())
+			}
+			if got, echoed := rec.Header()[RequestIDHeader]; echoed != safe || (safe && (len(got) != 1 || got[0] != raw)) {
+				t.Fatalf("%s %s with ID %q echoed %q, want an echo only of a safe ID", method, path, raw, got)
+			}
+			return rec
+		}
+		serve(http.MethodPost, "/v1/solve", solveBody)
+		rec := serve(http.MethodGet, "/debug/requests", "")
+		var doc requestsDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || len(doc.Requests) == 0 {
+			t.Fatalf("/debug/requests after ID %q: %v rows, %v: %s", raw, len(doc.Requests), err, rec.Body.Bytes())
+		}
+		if id := doc.Requests[len(doc.Requests)-1].ID; (safe && id != raw) || (!safe && !strings.HasPrefix(id, "f-")) {
+			t.Fatalf("solve with ID %q recorded as %q", raw, id)
 		}
 	})
 }

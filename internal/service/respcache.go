@@ -15,10 +15,12 @@ import "sync"
 // looks up the same key for replica hits. Each entry records whether
 // this node computed it (local) or holds a peer's bytes for it — a
 // replica push, or the owner's answer to an earlier forward. The fast
-// path serves local entries only, so peer bytes are always served by
-// the routing layer, which serves them only at a non-owner and counts a
-// replica hit. Peer bytes are only a claim: a local compute for the
-// same key replaces them.
+// path serves a local entry outright and peer bytes only where the
+// cluster tier's owner check allows (never at the key's owner, never on
+// a single node), counted there as a replica hit; traced requests,
+// which skip the fast path, reach the same bytes through Node.Route.
+// Peer bytes are only a claim: a local compute for the same key
+// replaces them.
 //
 // The counters are plain integers updated under the cache mutex, so
 // counting on the hit path never allocates.
@@ -33,11 +35,12 @@ type respEntry struct {
 }
 
 // RespCacheStats is a point-in-time snapshot of the cache counters. A
-// fast-path lookup that finds held peer bytes counts a miss, and the
-// routing layer's GetKey then counts a hit for the same request.
+// fast-path lookup counts once: a hit when it answers, local bytes or
+// held peer bytes, and a miss when the request goes on to the flight
+// group. The routing layer's GetKey counts a hit of its own.
 type RespCacheStats struct {
 	Hits        int64 // responses served from cached bytes
-	Misses      int64 // fast-path lookups that found no locally computed body
+	Misses      int64 // fast-path lookups that did not answer
 	Evictions   int64 // entries dropped for capacity
 	Stores      int64 // entries stored (local computes + peer bytes)
 	Entries     int64 // current entry count
@@ -76,28 +79,44 @@ func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 	}
 }
 
-// get looks a flight key up on the fast path and counts the hit or
-// miss. Only a locally computed entry answers; peer bytes count as a
-// miss here and are served by the routing layer instead. The key
-// arrives as bytes so the caller can build it on its stack: the map
+// get looks a flight key up on the fast path. A locally computed entry
+// counts a hit and a missing one a miss; held peer bytes (local false)
+// count neither, because only the cluster tier knows whether this node
+// may serve them, and the caller settles the count with countHeld. The
+// key arrives as bytes so the caller can build it on its stack: the map
 // lookup converts it without allocating, and the returned key is the
 // entry's own string.
-func (c *RespCache) get(key []byte) (ckey string, body []byte, ok bool) {
+func (c *RespCache) get(key []byte) (ckey string, body []byte, local, ok bool) {
 	if c == nil {
-		return "", nil, false
+		return "", nil, false, false
 	}
 	c.mu.Lock()
 	e := c.byKey[string(key)]
-	if e == nil || !e.local {
+	if e == nil {
 		c.counts.Misses++
 		c.mu.Unlock()
-		return "", nil, false
+		return "", nil, false, false
 	}
 	c.moveToFrontLocked(e)
-	c.counts.Hits++
-	ckey, body = e.key, e.body
+	if e.local {
+		c.counts.Hits++
+	}
+	ckey, body, local = e.key, e.body, e.local
 	c.mu.Unlock()
-	return ckey, body, true
+	return ckey, body, local, true
+}
+
+// countHeld counts a fast-path lookup that found held peer bytes: a hit
+// when the request was served from them, a miss when it goes on to
+// compute.
+func (c *RespCache) countHeld(served bool) {
+	c.mu.Lock()
+	if served {
+		c.counts.Hits++
+	} else {
+		c.counts.Misses++
+	}
+	c.mu.Unlock()
 }
 
 // TraceBypass counts one traced request that skipped the fast path: a
@@ -114,8 +133,9 @@ func (c *RespCache) TraceBypass() {
 }
 
 // GetKey looks a flight key up — the cluster tier's view of the cache
-// (Node.Route serves held peer bytes through it). A found entry counts
-// as a hit immediately: the routing layer serves what it finds.
+// (Node.Route serves held peer bytes through it to traced requests). A
+// found entry counts as a hit immediately: the routing layer serves
+// what it finds.
 func (c *RespCache) GetKey(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -134,9 +154,8 @@ func (c *RespCache) GetKey(key string) ([]byte, bool) {
 }
 
 // PutReplica stores peer bytes — a replica push, or the owner's answer
-// to a forward — under their flight key. The local fast path never
-// serves them, so they are always served by the cluster routing layer
-// (only at a non-owner, counted as a replica hit). Peer bytes never
+// to a forward — under their flight key. They are served only at a
+// non-owner of the key, counted as a replica hit. Peer bytes never
 // replace an entry already held. Reports whether the key is cached
 // after the call. The body must not be mutated after the call.
 func (c *RespCache) PutReplica(key string, body []byte) bool {
@@ -186,8 +205,8 @@ func (c *RespCache) put(key string, body []byte, local bool) bool {
 			return true
 		}
 		// A local compute replaces peer bytes rather than trusting
-		// them: the push endpoint accepts any bytes, and the fast path
-		// is about to serve this entry.
+		// them: the push endpoint accepts any bytes, and from now on
+		// the fast path serves this entry even at the key's owner.
 		c.curBytes += int64(len(body) - len(e.body))
 		e.body, e.local = body, true
 	} else {

@@ -116,13 +116,13 @@ func TestRespCacheLRUEvictionOrder(t *testing.T) {
 	c.get([]byte("a")) // touch A: B becomes the LRU entry
 	c.putLocal("c", []byte("C"))
 
-	if _, _, ok := c.get([]byte("b")); ok {
+	if _, _, _, ok := c.get([]byte("b")); ok {
 		t.Fatal("b survived eviction; LRU order broken")
 	}
-	if _, _, ok := c.get([]byte("a")); !ok {
+	if _, _, _, ok := c.get([]byte("a")); !ok {
 		t.Fatal("a was evicted despite being recently used")
 	}
-	if _, _, ok := c.get([]byte("c")); !ok {
+	if _, _, _, ok := c.get([]byte("c")); !ok {
 		t.Fatal("c missing right after store")
 	}
 	st := c.Stats()
@@ -193,9 +193,10 @@ func TestRespCacheNoErrorCaching(t *testing.T) {
 	}
 }
 
-// Peer bytes are served by the cluster tier only: the local fast path
-// must not serve them (that is the cluster Route's job, where the owner
-// check and replica-hit accounting live).
+// The fast path tells held peer bytes from a local compute: get finds a
+// push but reports it as not local, and leaves the hit-or-miss count to
+// countHeld (only the cluster tier's owner check knows which it is). A
+// local compute for the same key still replaces the push in place.
 func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	c := newRespCache(8, 0)
 	if !c.PutReplica("some-flight-key", []byte("pushed")) {
@@ -204,14 +205,23 @@ func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	if _, ok := c.GetKey("some-flight-key"); !ok {
 		t.Fatal("pushed entry must be reachable by key")
 	}
-	if _, _, ok := c.get([]byte("some-flight-key")); ok {
-		t.Fatal("a replica push must never answer the local fast path")
+	key, body, local, ok := c.get([]byte("some-flight-key"))
+	if !ok || local || key != "some-flight-key" || string(body) != "pushed" {
+		t.Fatalf("fast-path lookup of a push = %q %q local=%v ok=%v, want the pushed bytes, not local", key, body, local, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want only GetKey's hit before the held lookup is settled", st)
+	}
+	c.countHeld(true)
+	c.countHeld(false)
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want a served held lookup as a hit and a refused one as a miss", st)
 	}
 	// A local compute for the same key takes the entry over in place,
 	// with its own bytes: a push is only a peer's claim.
 	c.putLocal("some-flight-key", []byte("computed"))
-	if key, body, ok := c.get([]byte("some-flight-key")); !ok || key != "some-flight-key" || string(body) != "computed" {
-		t.Fatalf("local compute did not replace the push: %q %q %v", key, body, ok)
+	if key, body, local, ok := c.get([]byte("some-flight-key")); !ok || !local || key != "some-flight-key" || string(body) != "computed" {
+		t.Fatalf("local compute did not replace the push: %q %q local=%v ok=%v", key, body, local, ok)
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != int64(len("computed")) || st.Stores != 1 {
 		t.Fatalf("replacement miscounted: %+v", st)
@@ -234,7 +244,7 @@ func TestRespCacheReplaceHoldsByteBound(t *testing.T) {
 	if st.Bytes != 80 || st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want 80 bytes / 1 entry / 1 eviction", st)
 	}
-	if _, _, ok := c.get([]byte("k")); !ok {
+	if _, _, local, ok := c.get([]byte("k")); !ok || !local {
 		t.Fatal("the replaced entry was evicted")
 	}
 }
@@ -273,7 +283,7 @@ func TestRespCacheConcurrentPushAndCompute(t *testing.T) {
 	var want int64
 	for _, k := range keys {
 		c.putLocal(k, computed(k))
-		if _, body, ok := c.get([]byte(k)); !ok || !bytes.Equal(body, computed(k)) {
+		if _, body, local, ok := c.get([]byte(k)); !ok || !local || !bytes.Equal(body, computed(k)) {
 			t.Fatalf("%s serves %q after its compute", k, body)
 		}
 		want += int64(len(computed(k)))
@@ -335,7 +345,7 @@ func TestRespCacheClusterStoreRule(t *testing.T) {
 
 // The hit path — building the flight key, the lookup and the counter
 // updates — is allocation-free, the same pinned contract the hardware
-// counters carry.
+// counters carry, for a local entry and for held peer bytes alike.
 func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 	c := newRespCache(8, 0)
 	q := solveRequest{Arch: 2, Conversations: 1, ServerComputeUS: 1140}
@@ -346,12 +356,23 @@ func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := q
+	held.Arch = 3
+	heldKey, err := SolveKey(3, 1, 1, 1140, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.putLocal(key, []byte("body"))
+	c.PutReplica(heldKey, []byte("peer body"))
 	if n := testing.AllocsPerRun(1000, func() {
 		var kb [keyBufLen]byte
-		if _, _, ok := c.get(q.appendKey(kb[:0])); !ok {
+		if _, _, local, ok := c.get(q.appendKey(kb[:0])); !ok || !local {
 			t.Fatal("entry vanished")
 		}
+		if _, _, local, ok := c.get(held.appendKey(kb[:0])); !ok || local {
+			t.Fatal("held entry vanished")
+		}
+		c.countHeld(true)
 		if _, ok := c.GetKey(key); !ok {
 			t.Fatal("key vanished")
 		}

@@ -583,7 +583,8 @@ func (s *Server) queueDepth() int64 {
 // A point's fresh 200 (spec.Body set: solve and simulate) is stored in
 // the response cache for the fast path and offered back for
 // replication. A cluster-routed body is never stored here: the cluster
-// tier keeps it as peer bytes, which the fast path does not serve.
+// tier keeps it as peer bytes, which the fast path serves only where
+// ServeHeld allows.
 func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSpec, fn func(ctx context.Context) flightResult) {
 	sc := trace.ScopeFrom(r.Context())
 	rec := recordOf(w)
@@ -896,9 +897,13 @@ func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface
 }
 
 // serveCached is the zero-allocation fast path: it answers from the
-// response cache when key holds a locally computed body. The key is the
-// caller's stack bytes. Traced requests take the full path: a sampled
-// trace exists to show the pipeline. Reports whether it answered.
+// response cache when key holds a locally computed body, or peer bytes
+// the cluster tier lets this node serve (ServeHeld: it does not own the
+// key), which count as a cluster-served replica hit. The key is the
+// caller's stack bytes; the router is asked with the entry's own
+// string, so the stack buffer never escapes through the interface call.
+// Traced requests take the full path: a sampled trace exists to show
+// the pipeline. Reports whether it answered.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte) bool {
 	if sc := trace.ScopeFrom(r.Context()); sc != nil {
 		if s.respCache != nil {
@@ -907,13 +912,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte)
 		}
 		return false
 	}
-	ckey, body, ok := s.respCache.get(key)
+	ckey, body, local, ok := s.respCache.get(key)
 	if !ok {
 		return false
 	}
+	d := decisionRespCacheHit
+	if !local {
+		served := s.cfg.Cluster != nil && s.cfg.Cluster.ServeHeld(ckey)
+		s.respCache.countHeld(served)
+		if !served {
+			return false
+		}
+		s.metrics.inc(fClusterServed)
+		d = decisionReplicaHit
+	}
 	rec := recordOf(w)
 	rec.setKey(ckey)
-	rec.setDecision(decisionRespCacheHit)
+	rec.setDecision(d)
 	writeDet(w, http.StatusOK, nil, body)
 	return true
 }
