@@ -44,9 +44,10 @@ fuzz_smoke() {
 # repeat of it through each node must be a fast-path answer at owner and
 # non-owners alike — no forward and no cache miss (a non-owner serves
 # the owner's answer it keeps) — the aggregated metrics view must see
-# every member, and a round-robin ipcload pass across all three must
-# finish with zero errors and zero cross-node response mismatches (its
-# digest is computed over bodies from every target).
+# every member, a round-robin ipcload pass across all three must finish
+# with zero errors and zero cross-node response mismatches (its digest
+# is computed over bodies from every target), and after it every node's
+# process solve cache must hold no entry (a served solve skips it).
 cluster_smoke() {
     go build -o /tmp/ipcd.check ./cmd/ipcd
     CLUSTER_PIDS=""
@@ -93,6 +94,12 @@ cluster_smoke() {
     test "$(repeat_counters)" = "$counters_before"
     curl -fsS "http://127.0.0.1:18081/metrics?scope=cluster" | grep -q '"unreachable":\[\]'
     go run ./cmd/ipcload -targets "$CLUSTER_PEERS" -c 6 -duration 3s
+    # Each node is its own process and solves only through its Systems,
+    # which skip the process-global GTPN solve cache: after the load no
+    # node keeps a solution there.
+    for port in 18081 18082 18083; do
+        curl -fsS "http://127.0.0.1:$port/metrics" | grep -oE '"gtpn_cache":\{[^}]*\}' | grep -qE '"entries":0[,}]'
+    done
     cleanup_cluster
     trap - EXIT
 }

@@ -35,14 +35,10 @@ import (
 	"repro/internal/workload"
 )
 
-// SolveCacheStats reports the GTPN solve cache's hit/miss counters.
-// Analyze memoizes every exact model solution by a canonical net
-// signature, so repeated workload points — sweeps, fixed-point
-// iterations, repeated Analyze calls — are answered from the cache.
+// SolveCacheStats reports the process-global GTPN solve cache's
+// counters. The experiment engine and the CLIs solve through that cache;
+// a System does not (see systemSolve), so its solves count as bypassed.
 type SolveCacheStats = gtpn.CacheStats
-
-// SetSolveCache turns the GTPN solve cache on or off (on by default).
-func SetSolveCache(on bool) { gtpn.SetCacheEnabled(on) }
 
 // SolveCache reports the solve cache counters.
 func SolveCache() SolveCacheStats { return gtpn.SolveCacheStats() }
@@ -52,9 +48,8 @@ func ResetSolveCache() { gtpn.ResetSolveCache() }
 
 // EngineStats reports the GTPN solver's structural work counters:
 // reachability graphs built, states and chain edges explored, and how
-// often independent terminal classes were solved in parallel. Cache
-// hits build nothing, so (with the cache on) these counters measure
-// only the distinct workload points actually solved.
+// often independent terminal classes were solved in parallel. Solve
+// cache hits build nothing.
 type EngineStats = gtpn.EngineStats
 
 // SolverEngine reports the solver engine counters.
@@ -85,6 +80,13 @@ type Workload struct {
 	// communicating over the token ring.
 	NonLocal bool
 }
+
+// systemSolve holds the solver options of every System solve. They skip
+// the process-global solve cache. Every ipcd solve goes through a
+// System; ipcd answers a repeated request from its response cache, and
+// a System memoizes its C, so the cache would keep every solution for
+// the life of the process and answer almost none of them again.
+var systemSolve = models.SolveOptions{Uncached: true}
 
 // System is one configured node architecture. It is safe for
 // concurrent use.
@@ -148,14 +150,14 @@ func (s *System) AnalyzeContext(ctx context.Context, w Workload) (Prediction, er
 	defer trace.ScopeFrom(ctx).Begin("core.analyze", "core").End()
 	var p Prediction
 	if w.NonLocal {
-		res, err := models.SolveNonLocalContext(ctx, s.arch, w.Conversations, s.hosts, w.ServerComputeUS, models.SolveOptions{})
+		res, err := models.SolveNonLocalContext(ctx, s.arch, w.Conversations, s.hosts, w.ServerComputeUS, systemSolve)
 		if err != nil {
 			return Prediction{}, err
 		}
 		p = Prediction{Throughput: res.Throughput * 1e6, RoundTripUS: res.RoundTrip,
 			States: res.ClientStates + res.ServerStates}
 	} else {
-		res, err := models.BuildLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS).SolveContext(ctx, models.SolveOptions{})
+		res, err := models.BuildLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS).SolveContext(ctx, systemSolve)
 		if err != nil {
 			return Prediction{}, err
 		}
@@ -217,7 +219,7 @@ type SweepAnalyzer struct {
 
 // NewSweepAnalyzer starts a fresh sweep chain over this system.
 func (s *System) NewSweepAnalyzer() *SweepAnalyzer {
-	return &SweepAnalyzer{sys: s, local: models.NewLocalSweepSolver(models.SolveOptions{})}
+	return &SweepAnalyzer{sys: s, local: models.NewLocalSweepSolver(systemSolve)}
 }
 
 // AnalyzeNext solves the next point of the sweep.
@@ -231,7 +233,7 @@ func (a *SweepAnalyzer) AnalyzeNext(ctx context.Context, w Workload) (Prediction
 		// fixed point, not a chainable stationary solve) and invalidate the
 		// local chain's adjacency.
 		a.local.Reset()
-		res, err := models.SolveNonLocalContext(ctx, a.sys.arch, w.Conversations, a.sys.hosts, w.ServerComputeUS, models.SolveOptions{})
+		res, err := models.SolveNonLocalContext(ctx, a.sys.arch, w.Conversations, a.sys.hosts, w.ServerComputeUS, systemSolve)
 		if err != nil {
 			return Prediction{}, err
 		}
@@ -272,13 +274,13 @@ func (s *System) roundTripC(ctx context.Context, nonLocal bool) (float64, error)
 
 func (s *System) solveRoundTripC(ctx context.Context, nonLocal bool) (float64, error) {
 	if nonLocal {
-		res, err := models.SolveNonLocalContext(ctx, s.arch, 1, s.hosts, 0, models.SolveOptions{})
+		res, err := models.SolveNonLocalContext(ctx, s.arch, 1, s.hosts, 0, systemSolve)
 		if err != nil {
 			return 0, err
 		}
 		return res.RoundTrip, nil
 	}
-	res, err := models.BuildLocal(s.arch, 1, s.hosts, 0).SolveContext(ctx, models.SolveOptions{})
+	res, err := models.BuildLocal(s.arch, 1, s.hosts, 0).SolveContext(ctx, systemSolve)
 	if err != nil {
 		return 0, err
 	}

@@ -82,7 +82,7 @@ func (s *System) CrossCheck(w Workload, seconds int64) (CrossCheckResult, error)
 	out := CrossCheckResult{MeasuredThroughput: res.Throughput * 1e6}
 	var checks []ResourceCheck
 	if w.NonLocal {
-		sol, err := models.SolveNonLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS, models.SolveOptions{})
+		sol, err := models.SolveNonLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS, systemSolve)
 		if err != nil {
 			return CrossCheckResult{}, err
 		}
@@ -90,7 +90,7 @@ func (s *System) CrossCheck(w Workload, seconds int64) (CrossCheckResult, error)
 		checks = append(checks, s.nodeChecks("client.", 0, sol.ClientUtilization, measured)...)
 		checks = append(checks, s.nodeChecks("server.", 1, sol.ServerUtilization, measured)...)
 	} else {
-		sol, err := models.BuildLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS).Solve(models.SolveOptions{})
+		sol, err := models.BuildLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS).Solve(systemSolve)
 		if err != nil {
 			return CrossCheckResult{}, err
 		}

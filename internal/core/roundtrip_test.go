@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-
-	"repro/internal/models"
 )
 
 // samePrediction reports whether two predictions are bit-identical.
@@ -20,11 +18,9 @@ func samePrediction(a, b Prediction) bool {
 
 // TestSharedSystemMatchesFreshSystems: a System's memoized C gives every
 // prediction the same bits as a fresh System, which solves C anew for
-// the one point it analyzes. The solve cache is off, so each side really
-// solves.
+// the one point it analyzes. A System's solves skip the solve cache, so
+// each side really solves.
 func TestSharedSystemMatchesFreshSystems(t *testing.T) {
-	SetSolveCache(false)
-	t.Cleanup(func() { SetSolveCache(true) })
 	for arch := Uniprocessor; arch <= PartitionedBus; arch++ {
 		for hosts := 1; hosts <= 2; hosts++ {
 			for _, nonLocal := range []bool{false, true} {
@@ -49,41 +45,38 @@ func TestSharedSystemMatchesFreshSystems(t *testing.T) {
 }
 
 // TestSharedSystemSolvesCOnce: once a System has answered one point, a
-// fresh local point costs it one solve — the point's own, a cache miss —
-// and C no longer reaches the solve cache at all.
+// fresh local point costs it one solve, the point's own: one graph
+// built. Its solves skip the solve cache, so the only counter there that
+// moves is Bypassed, by one.
 func TestSharedSystemSolvesCOnce(t *testing.T) {
-	ResetSolveCache()
-	t.Cleanup(ResetSolveCache)
 	s := New(SmartBus, WithHosts(2))
 	if _, err := s.Analyze(Workload{Conversations: 2, ServerComputeUS: 1234.5}); err != nil {
 		t.Fatal(err)
 	}
-	before := SolveCache()
+	cache0, graphs0 := SolveCache(), SolverEngine().GraphsBuilt
 	if _, err := s.Analyze(Workload{Conversations: 2, ServerComputeUS: 4321.25}); err != nil {
 		t.Fatal(err)
 	}
-	after := SolveCache()
-	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != 0 {
-		t.Fatalf("second fresh point: %d misses and %d hits, want 1 and 0", misses, hits)
+	cache1, graphs1 := SolveCache(), SolverEngine().GraphsBuilt
+	if graphs1-graphs0 != 1 {
+		t.Fatalf("second fresh point built %d graphs, want 1", graphs1-graphs0)
+	}
+	cache0.Bypassed++
+	if cache1 != cache0 {
+		t.Fatalf("second fresh point: solve cache %+v, want %+v", cache1, cache0)
 	}
 }
 
 // TestRoundTripCErrorNotMemoized: a C solve that fails (here on a done
-// context, with the point itself already in the solve cache) fails the
-// analysis and leaves nothing memoized; the next call on a live context
-// answers what a cold System does.
+// context) returns the error and leaves nothing memoized; the next
+// analysis on a live context answers what a cold System does.
 func TestRoundTripCErrorNotMemoized(t *testing.T) {
-	ResetSolveCache()
-	t.Cleanup(ResetSolveCache)
 	w := Workload{Conversations: 1, ServerComputeUS: 2850}
-	if _, err := models.BuildLocal(MessageCoprocessor, 1, 1, 2850).Solve(models.SolveOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	s := New(MessageCoprocessor)
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.AnalyzeContext(done, w); !errors.Is(err, context.Canceled) {
-		t.Fatalf("analysis with C unsolvable: err %v, want context.Canceled", err)
+	if _, err := s.roundTripC(done, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("C on a done context: err %v, want context.Canceled", err)
 	}
 	if c, ok := s.c.Load(false); ok {
 		t.Fatalf("failed C solve memoized: %v", c)
@@ -92,7 +85,6 @@ func TestRoundTripCErrorNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetSolveCache()
 	want, err := New(MessageCoprocessor).Analyze(w)
 	if err != nil {
 		t.Fatal(err)

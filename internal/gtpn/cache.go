@@ -6,16 +6,20 @@ import (
 )
 
 // The solve cache memoizes Net.Solve results across separately built
-// nets. The chapter 6 experiment sweeps and the §6.6.3 non-local
-// fixed-point iteration rebuild near-identical nets dozens of times per
-// figure; keying solutions by the canonical net signature (structure +
-// initial marking + delays + frequency keys, see Net.Signature) plus the
-// solver options lets every repeat return instantly. Solutions are
-// immutable once computed, so entries are shared: callers must treat a
-// *Solution as read-only, which every caller in this repository does.
+// nets. The chapter 6 experiment sweeps rebuild the same nets many times
+// per run: a point several figures share, and the n=1, X=0 nets behind
+// every table's C. Keying solutions by the canonical net signature
+// (structure + initial marking + delays + frequency keys, see
+// Net.Signature) plus the solver options lets every repeat return
+// instantly. Solutions are immutable once computed, so entries are
+// shared: callers must treat a *Solution as read-only, which every
+// caller in this repository does. An entry keeps no net; a hit points
+// its copy at the caller's identical net.
 //
-// The cache is process-global and safe for concurrent use; the parallel
-// experiment engine hits it from many goroutines at once.
+// The cache is process-global, unbounded and safe for concurrent use;
+// the parallel experiment engine hits it from many goroutines at once.
+// A caller whose nets never repeat (core.System, and so every ipcd
+// solve) passes SolveOptions.Uncached and leaves nothing in it.
 
 // CacheStats reports the solve cache's counters since the last reset.
 type CacheStats struct {
@@ -23,8 +27,9 @@ type CacheStats struct {
 	Hits uint64
 	// Misses is the number of cacheable Solve calls that had to solve.
 	Misses uint64
-	// Bypassed counts Solve calls that could not consult the cache: the
-	// cache was disabled or the net had no signature.
+	// Bypassed counts Solve calls that did not consult the cache: the
+	// call passed SolveOptions.Uncached or a stationary start vector, or
+	// the net had no signature.
 	Bypassed uint64
 	// Entries is the number of solutions currently held.
 	Entries int
@@ -36,23 +41,10 @@ var solveCache = struct {
 	hits     uint64
 	misses   uint64
 	bypassed uint64
-	disabled bool
+	// testHookStore, set only by tests, sees the net of each solution
+	// stored, since the entry itself keeps none.
+	testHookStore func(*Net)
 }{m: map[string]*Solution{}}
-
-// SetCacheEnabled turns the solve cache on or off (it is on by default).
-// Disabling does not drop existing entries; use ResetSolveCache for that.
-func SetCacheEnabled(on bool) {
-	solveCache.mu.Lock()
-	defer solveCache.mu.Unlock()
-	solveCache.disabled = !on
-}
-
-// CacheEnabled reports whether the solve cache is consulted.
-func CacheEnabled() bool {
-	solveCache.mu.Lock()
-	defer solveCache.mu.Unlock()
-	return !solveCache.disabled
-}
 
 // SolveCacheStats reports the cache counters.
 func SolveCacheStats() CacheStats {
@@ -75,13 +67,14 @@ func ResetSolveCache() {
 }
 
 // solveKey derives the cache key for solving n under opts (which must
-// already be normalized). ok is false when the cache cannot be used —
-// the net is unsigned, or the solve carries a stationary start vector,
-// whose bits are start-contract-specific rather than canonical. The key
+// already be normalized). ok is false, and no key is built, when the
+// cache is not to be used: the caller passed Uncached, the net is
+// unsigned, or the solve carries a stationary start vector, whose bits
+// are start-contract-specific rather than canonical. The key
 // is the signature followed by "|ms=%d|tol=%x|sw=%d" of the options,
 // appended with strconv ('x' formats a float64 as %x does).
 func (n *Net) solveKey(opts SolveOptions) (string, bool) {
-	if opts.StationaryStart != nil {
+	if opts.Uncached || opts.StationaryStart != nil {
 		return "", false
 	}
 	sig, ok := n.Signature()
@@ -104,7 +97,7 @@ func (n *Net) solveKey(opts SolveOptions) (string, bool) {
 func cacheLookup(key string, usable bool) (*Solution, bool) {
 	solveCache.mu.Lock()
 	defer solveCache.mu.Unlock()
-	if solveCache.disabled || !usable {
+	if !usable {
 		solveCache.bypassed++
 		return nil, false
 	}
@@ -116,14 +109,18 @@ func cacheLookup(key string, usable bool) (*Solution, bool) {
 	return nil, false
 }
 
-// cacheStore records a freshly solved solution unless the cache is off.
-// Concurrent solvers of the same net may both store; the entries are
-// identical, so the last write winning is harmless.
+// cacheStore records a freshly solved solution, without its net: a hit
+// re-points its copy at the caller's net, so a stored net would only
+// keep the whole net alive. Concurrent solvers of the same net may both
+// store; the entries are identical, so the last write winning is
+// harmless.
 func cacheStore(key string, s *Solution) {
+	cp := *s
+	cp.net = nil
 	solveCache.mu.Lock()
 	defer solveCache.mu.Unlock()
-	if solveCache.disabled {
-		return
+	solveCache.m[key] = &cp
+	if solveCache.testHookStore != nil {
+		solveCache.testHookStore(s.net)
 	}
-	solveCache.m[key] = s
 }

@@ -130,20 +130,59 @@ func TestSolveCacheHitsAndValues(t *testing.T) {
 	}
 }
 
+// An Uncached solve neither reads nor writes the cache, even for a net
+// whose solution is already there, and counts as bypassed.
 func TestSolveCacheDisabled(t *testing.T) {
 	ResetSolveCache()
-	SetCacheEnabled(false)
-	defer func() {
-		SetCacheEnabled(true)
-		ResetSolveCache()
-	}()
+	defer ResetSolveCache()
 	for i := 0; i < 2; i++ {
-		if _, err := twoPhase(7, 4).Solve(SolveOptions{}); err != nil {
+		if _, err := twoPhase(7, 4).Solve(SolveOptions{Uncached: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s := SolveCacheStats(); s.Bypassed != 2 || s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("disabled cache still active: %+v", s)
+		t.Fatalf("uncached solves used the cache: %+v", s)
+	}
+	if _, err := twoPhase(7, 4).Solve(SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twoPhase(7, 4).Solve(SolveOptions{Uncached: true}); err != nil {
+		t.Fatal(err)
+	}
+	if s := SolveCacheStats(); s.Bypassed != 3 || s.Hits != 0 || s.Misses != 1 || s.Entries != 1 {
+		t.Fatalf("an uncached solve of a cached net: %+v", s)
+	}
+}
+
+// A stored entry keeps no net, and a hit resolves Tokens and Rate
+// against the caller's net.
+func TestSolveCacheStoresNoNet(t *testing.T) {
+	ResetSolveCache()
+	defer ResetSolveCache()
+	cold, err := twoPhase(7, 4).Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveCache.mu.Lock()
+	for key, e := range solveCache.m {
+		if e.net != nil {
+			t.Errorf("entry %q keeps its net", key)
+		}
+	}
+	solveCache.mu.Unlock()
+	caller := twoPhase(7, 4)
+	warm, err := caller.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := SolveCacheStats(); s.Hits != 1 || s.Entries != 1 {
+		t.Fatalf("second solve: %+v, want one hit on one entry", s)
+	}
+	if warm.net != caller {
+		t.Fatal("a hit does not point at the caller's net")
+	}
+	if warm.Tokens("P2") != cold.Tokens("P2") || warm.Rate("T2") != cold.Rate("T2") {
+		t.Fatal("a hit mis-resolved names")
 	}
 }
 

@@ -46,6 +46,7 @@ func mustEqualSolutions(t *testing.T, name string, got, want *Solution) {
 // diffSolve runs both paths with the cache out of the way and compares.
 func diffSolve(t *testing.T, name string, n *Net, opts SolveOptions) {
 	t.Helper()
+	opts.Uncached = true
 	got, err := n.Solve(opts)
 	if err != nil {
 		t.Fatalf("%s: Solve: %v", name, err)
@@ -61,10 +62,6 @@ func diffSolve(t *testing.T, name string, n *Net, opts SolveOptions) {
 // test: over a family of randomly generated nets the flat solver must
 // reproduce the reference solver's Solution byte for byte.
 func TestSolveMatchesReferenceOnRandomNets(t *testing.T) {
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
@@ -78,10 +75,6 @@ func TestSolveMatchesReferenceOnRandomNets(t *testing.T) {
 // contract on the structural corner cases: reducible chains with dead
 // absorbing states and chains with live self-loops.
 func TestSolveMatchesReferenceOnStructuredNets(t *testing.T) {
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	diffSolve(t, "halting", haltingNet(), SolveOptions{})
 	diffSolve(t, "selfloop", selfLoopNet(), SolveOptions{})
 	// Tight sweep budget forces the non-converged reporting path too.

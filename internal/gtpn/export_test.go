@@ -86,15 +86,19 @@ func (br *BenchResolver) ResolveReference() (int, error) {
 // reference formatter's (see referenceSignature), or nil.
 func CheckSignature(n *Net) error { return checkSignature(n) }
 
-// CachedNets reports the net behind every solution in the solve cache,
-// so a test can reach nets that a model solve builds internally (the
-// §6.6.3 iterates) without exporting the model's builders.
-func CachedNets() []*Net {
+// RecordCachedNets starts recording the net behind every solution the
+// solve cache stores, so a test can reach nets that a model solve builds
+// internally (the §6.6.3 iterates) without exporting the model's
+// builders. The returned function stops recording and reports the nets.
+func RecordCachedNets() func() []*Net {
+	var nets []*Net
 	solveCache.mu.Lock()
 	defer solveCache.mu.Unlock()
-	nets := make([]*Net, 0, len(solveCache.m))
-	for _, s := range solveCache.m {
-		nets = append(nets, s.net)
+	solveCache.testHookStore = func(n *Net) { nets = append(nets, n) }
+	return func() []*Net {
+		solveCache.mu.Lock()
+		defer solveCache.mu.Unlock()
+		solveCache.testHookStore = nil
+		return nets
 	}
-	return nets
 }

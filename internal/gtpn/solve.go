@@ -33,6 +33,11 @@ type SolveOptions struct {
 	// both directions: their bits are not the canonical (uniform-start)
 	// bits the cache stores. The slice is read, never written.
 	StationaryStart []float64
+	// Uncached makes Solve skip the solve cache: it builds no key, looks
+	// nothing up and stores nothing, and counts the solve as bypassed.
+	// A caller whose nets never repeat sets it, so its solutions are not
+	// kept for the life of the process.
+	Uncached bool
 }
 
 // normalize fills in the documented defaults.
@@ -106,9 +111,9 @@ func (s *Solution) Usage(resource string) float64 {
 
 // Solve builds the reachability graph of the net's embedded Markov chain
 // and computes its exact steady state. When the net has a signature (see
-// Signature) the result is memoized in the process-global solve cache,
-// so re-solving an identically built net — a repeated sweep point, or a
-// converging §6.6.3 fixed-point iterate — returns the stored solution.
+// Signature) and opts.Uncached is unset, the result is memoized in the
+// process-global solve cache, so re-solving an identically built net —
+// a point that several experiments share — returns the stored solution.
 func (n *Net) Solve(opts SolveOptions) (*Solution, error) {
 	return n.SolveContext(context.Background(), opts)
 }
@@ -218,22 +223,18 @@ func (n *Net) measures(g *graph, pi []float64, converged bool, residual float64)
 
 // fillResourceUsage aggregates per-resource usage from the solved
 // per-transition means; shared by the CSR and reference measure passes.
+// A zero-delay transition has no in-flight firings, so its tag is
+// present with nothing added.
 func (n *Net) fillResourceUsage(sol *Solution) {
 	for t := range n.trans {
 		if r := n.trans[t].Resource; r != "" {
 			sol.ResourceUsage[r] += sol.MeanFiring[t]
-			if n.trans[t].Delay == 0 {
-				// Zero-delay transitions occupy no time; count their rate
-				// so a resource on an immediate transition still reports
-				// a meaningful (per-tick) figure.
-				sol.ResourceUsage[r] += 0
-			}
 		}
 	}
 }
 
-// TopStates is a debugging helper: it re-solves nothing but formats the
-// largest steady-state components. Kept unexported-free for cmd use.
+// String formats the solution's state counts, convergence and resource
+// usages, the tags in sorted order, for debugging output.
 func (s *Solution) String() string {
 	keys := make([]string, 0, len(s.ResourceUsage))
 	for k := range s.ResourceUsage {

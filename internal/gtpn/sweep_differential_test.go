@@ -114,10 +114,6 @@ func diffSweep(t *testing.T, name string, nets []*Net, opts SolveOptions) {
 // point — every point must still be bit-identical to an independent
 // cold reference build solved under the same start contract.
 func TestSolveSweepMatchesReferenceSweep(t *testing.T) {
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	// Dense path (n=2 stays under denseClassLimit): warm starts are
 	// ignored, graph reuse still exercised.
 	dense := []*Net{
@@ -141,10 +137,6 @@ func TestSolveSweepMatchesReferenceSweep(t *testing.T) {
 // randomized structures: for each seed, a same-shape grid obtained by
 // shifting every mean service time.
 func TestSolveSweepMatchesReferenceOnRandomGrids(t *testing.T) {
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	seeds := 8
 	if testing.Short() {
 		seeds = 3
@@ -172,10 +164,6 @@ func TestSolveSweepMatchesReferenceOnRandomGrids(t *testing.T) {
 // and an unsigned point (no shape signature) breaks the chain on both
 // sides — in lockstep on both pipelines.
 func TestSolveSweepShapeChangesAndUnsignedPoints(t *testing.T) {
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	nets := []*Net{
 		sweepModelNet(2, 2850),
 		sweepModelNet(2, 3200), // same shape: reuse + (dense) warm contract
@@ -198,10 +186,6 @@ func TestSolveSweepEngineStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("iterative-scale grid is slow")
 	}
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	nets := []*Net{
 		sweepModelNet(3, 2500), sweepModelNet(3, 2850),
 		sweepModelNet(3, 3200), sweepModelNet(3, 3600),
@@ -248,10 +232,6 @@ func TestSweepWarmStartConvergesFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("iterative-scale grid is slow")
 	}
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	p0 := sweepModelNet(3, 2850)
 	p1 := sweepModelNet(3, 3200)
 
@@ -277,16 +257,12 @@ func TestSweepWarmStartSameFixedPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("iterative-scale grid is slow")
 	}
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
-	ResetSolveCache()
-
 	nets := []*Net{sweepModelNet(3, 2850), sweepModelNet(3, 3200)}
 	swept, err := SolveSweep(context.Background(), nets, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := sweepModelNet(3, 3200).Solve(SolveOptions{})
+	cold, err := sweepModelNet(3, 3200).Solve(SolveOptions{Uncached: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +287,6 @@ func TestSweepWarmStartSameFixedPoint(t *testing.T) {
 // TestSolveSweepBypassesCache: warm-started bits are chain-specific, so
 // a sweep must neither read nor seed the canonical solve cache.
 func TestSolveSweepBypassesCache(t *testing.T) {
-	SetCacheEnabled(true)
 	ResetSolveCache()
 	defer ResetSolveCache()
 

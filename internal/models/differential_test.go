@@ -17,10 +17,6 @@ import (
 // differential guarantee that the perf rewrite changed no published
 // number.
 func TestRegistryNetsMatchReferenceSolver(t *testing.T) {
-	gtpn.SetCacheEnabled(false)
-	defer gtpn.SetCacheEnabled(true)
-	gtpn.ResetSolveCache()
-
 	archs := []timing.Arch{timing.ArchI, timing.ArchII, timing.ArchIII, timing.ArchIV}
 	ns := []int{1, 2}
 	if testing.Short() {
@@ -28,7 +24,7 @@ func TestRegistryNetsMatchReferenceSolver(t *testing.T) {
 	}
 	check := func(name string, net *gtpn.Net) {
 		t.Helper()
-		got, err := net.Solve(gtpn.SolveOptions{})
+		got, err := net.Solve(gtpn.SolveOptions{Uncached: true})
 		if err != nil {
 			t.Fatalf("%s: Solve: %v", name, err)
 		}

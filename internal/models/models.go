@@ -129,6 +129,9 @@ func (nb *netBuilder) stage(name string, in gtpn.PlaceID, res gtpn.PlaceID, hasR
 type SolveOptions struct {
 	// MaxStates bounds each net's reachability graph (default 400k).
 	MaxStates int
+	// Uncached solves every net without the process-global solve cache
+	// (gtpn.SolveOptions.Uncached).
+	Uncached bool
 }
 
 func (o SolveOptions) gtpnOpts() gtpn.SolveOptions {
@@ -136,7 +139,7 @@ func (o SolveOptions) gtpnOpts() gtpn.SolveOptions {
 	if ms <= 0 {
 		ms = 400_000
 	}
-	return gtpn.SolveOptions{MaxStates: ms}
+	return gtpn.SolveOptions{MaxStates: ms, Uncached: o.Uncached}
 }
 
 // LocalResult reports the solved local-conversation model.

@@ -57,10 +57,6 @@ func equalSolutionsBitwise(t *testing.T, name string, got, want *gtpn.Solution) 
 // warm-started) solved by the production sweep path must be
 // bit-identical to the cold-per-point reference sweep.
 func TestRegistryXGridMatchesReferenceSweep(t *testing.T) {
-	gtpn.SetCacheEnabled(false)
-	defer gtpn.SetCacheEnabled(true)
-	gtpn.ResetSolveCache()
-
 	points := XGridLocal(timing.ArchII, 3, 1, table624XUS(t))
 	nets := make([]*gtpn.Net, len(points))
 	for i, pt := range points {
@@ -103,10 +99,6 @@ func TestXGridSharesShape(t *testing.T) {
 // TestSolveLocalSweepStats: an X-grid builds one graph and reuses it
 // for every later point; an n-grid rebuilds per point but solves fine.
 func TestSolveLocalSweepStats(t *testing.T) {
-	gtpn.SetCacheEnabled(false)
-	defer gtpn.SetCacheEnabled(true)
-	gtpn.ResetSolveCache()
-
 	xs := XGridLocal(timing.ArchII, 2, 1, []float64{0, 1140, 5700, 22800})
 	gtpn.ResetSolverEngineStats()
 	xres, err := SolveLocalSweep(context.Background(), xs, SolveOptions{})

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/gtpn"
 	"repro/internal/obs"
 )
 
@@ -161,42 +160,12 @@ func BenchmarkServeSolveRouted(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSolveMiss walks the full serving path — pooled decode,
-// flight group, admission, the (GTPN-cached) solve, deterministic
-// re-encode. The gap to the Hit benchmark is what the response cache
-// buys.
-func BenchmarkServeSolveMiss(b *testing.B) {
-	s := New(Config{RespCacheEntries: -1})
-	h := s.Handler()
-	req, rb, payload := benchSolveRequest()
-	w := &discardRW{h: make(http.Header, 4)}
-
-	rb.Reset(payload)
-	h.ServeHTTP(w, req) // warm the process-global GTPN solve cache
-	if w.status != http.StatusOK {
-		b.Fatalf("warmup status %d", w.status)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rb.Reset(payload)
-		w.status = 0
-		h.ServeHTTP(w, req)
-	}
-	b.StopTimer()
-	if w.status != http.StatusOK {
-		b.Fatalf("status %d", w.status)
-	}
-}
-
-// BenchmarkServeSolveFresh is a cluster owner's fresh point: every
-// iteration sends a never-seen X through the default server, so the
-// response cache and the GTPN solve cache both miss and the point is
-// built, signed and solved. The warm-up leaves only what a long-running
-// server has already done: its System's canonical C.
+// BenchmarkServeSolveFresh is a cluster owner's fresh point, the
+// serving path's miss: every iteration sends a never-seen X through the
+// default server, so the response cache misses and the point is built
+// and solved. The warm-up leaves only what a long-running server has
+// already done: its System's canonical C.
 func BenchmarkServeSolveFresh(b *testing.B) {
-	gtpn.ResetSolveCache() // earlier runs of this benchmark solved the same X values
 	s := New(Config{})
 	h := s.Handler()
 	req, rb, _ := benchSolveRequest()

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/gtpn"
 )
 
 // A cached response must be the exact bytes a fresh server would
@@ -177,10 +175,6 @@ func TestRespCacheByteBound(t *testing.T) {
 // Error responses are never cached: a 504 (timeout) and a 400 leave
 // the cache empty, so a transient failure cannot be replayed forever.
 func TestRespCacheNoErrorCaching(t *testing.T) {
-	// A fresh GTPN cache, so the expired deadline is seen by a real
-	// solve instead of a warm solver-cache entry racing it to 200.
-	gtpn.ResetSolveCache()
-	t.Cleanup(gtpn.ResetSolveCache)
 	s, ts := testServer(t, Config{RequestTimeout: time.Nanosecond})
 	if code, _, _ := post(t, ts.URL+"/v1/solve", solveBody); code != 504 {
 		t.Fatalf("status = %d, want 504 with a 1ns deadline", code)

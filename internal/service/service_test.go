@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/gtpn"
 )
 
 const solveBody = `{"arch":2,"conversations":1,"server_compute_us":1140}`
@@ -348,79 +347,116 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// solveCacheCounters reads the GTPN solve-cache hits and misses from
-// the server's /metrics.
-func solveCacheCounters(t *testing.T, url string) (hits, misses float64) {
+// solverCounters is the process solve cache's row and the engine's
+// graphs_built, as the server's /metrics reports them.
+type solverCounters struct {
+	Cache struct {
+		Hits     float64 `json:"hits"`
+		Misses   float64 `json:"misses"`
+		Bypassed float64 `json:"bypassed"`
+		Entries  float64 `json:"entries"`
+	} `json:"gtpn_cache"`
+	Engine struct {
+		Graphs float64 `json:"graphs_built"`
+	} `json:"gtpn_engine"`
+}
+
+func readSolverCounters(t *testing.T, url string) solverCounters {
+	t.Helper()
 	_, body := get(t, url+"/metrics")
-	var m struct {
-		Cache struct {
-			Hits   float64 `json:"hits"`
-			Misses float64 `json:"misses"`
-		} `json:"gtpn_cache"`
-	}
+	var m solverCounters
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatal(err)
 	}
-	return m.Cache.Hits, m.Cache.Misses
+	return m
 }
 
 // TestMetricsCacheCounters checks the GTPN solve-cache counters surface
-// through /metrics and move as expected: a cold point misses, a repeat
-// hits.
+// through /metrics and show that a served solve skips the cache: it
+// counts one bypass and adds no entry, no hit and no miss. (gtpn's
+// cache_test.go pins hit and miss counting.)
 func TestMetricsCacheCounters(t *testing.T) {
-	gtpn.ResetSolveCache()
-	t.Cleanup(gtpn.ResetSolveCache)
-	// Response caching off: this test pins the GTPN solve cache's
-	// counters, which the repeat request must actually reach.
+	// Response caching off: the repeat request must reach the solver.
 	_, ts := testServer(t, Config{RespCacheEntries: -1})
 
-	_, misses0 := solveCacheCounters(t, ts.URL)
+	c0 := readSolverCounters(t, ts.URL).Cache
 	body := `{"arch":4,"conversations":1,"server_compute_us":570}`
 	if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
-	hits1, misses1 := solveCacheCounters(t, ts.URL)
-	if misses1 <= misses0 {
-		t.Fatalf("cold solve did not miss: %v -> %v", misses0, misses1)
+	// The first solve of an arch also solves the Server's C.
+	want := c0
+	want.Bypassed += 2
+	c1 := readSolverCounters(t, ts.URL).Cache
+	if c1 != want {
+		t.Fatalf("cold solve: solve cache %+v -> %+v, want %+v", c0, c1, want)
 	}
 	if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
-	hits2, _ := solveCacheCounters(t, ts.URL)
-	if hits2 <= hits1 {
-		t.Fatalf("warm solve did not hit: %v -> %v", hits1, hits2)
+	want.Bypassed++
+	if c2 := readSolverCounters(t, ts.URL).Cache; c2 != want {
+		t.Fatalf("repeat solve: solve cache %+v -> %+v, want %+v", c1, c2, want)
 	}
 }
 
 // TestFreshSolvesReuseServerC: the Server solves an architecture's
 // canonical round trip C once, so a second fresh point of that
-// architecture costs its own solve (a miss) and never reaches the solve
-// cache for C (no hit).
+// architecture builds one graph, its own.
 func TestFreshSolvesReuseServerC(t *testing.T) {
-	gtpn.ResetSolveCache()
-	t.Cleanup(gtpn.ResetSolveCache)
 	_, ts := testServer(t, Config{})
 
 	if code, _, b := post(t, ts.URL+"/v1/solve", `{"arch":1,"conversations":1,"server_compute_us":333}`); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
-	hits1, misses1 := solveCacheCounters(t, ts.URL)
+	graphs1 := readSolverCounters(t, ts.URL).Engine.Graphs
 	if code, _, b := post(t, ts.URL+"/v1/solve", `{"arch":1,"conversations":1,"server_compute_us":777}`); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
-	hits2, misses2 := solveCacheCounters(t, ts.URL)
-	if hits2 != hits1 || misses2 != misses1+1 {
-		t.Fatalf("second fresh solve: hits %v -> %v, misses %v -> %v; want hits unchanged, one miss", hits1, hits2, misses1, misses2)
+	if graphs2 := readSolverCounters(t, ts.URL).Engine.Graphs; graphs2 != graphs1+1 {
+		t.Fatalf("second fresh solve: graphs_built %v -> %v, want one graph", graphs1, graphs2)
+	}
+}
+
+// TestServedPointsLeaveNothingInSolveCache: fresh local and non-local
+// points of every architecture, answered by one Server, leave the
+// process solve cache as it was. Every graph the Server builds is an
+// uncached solve, so Bypassed grows by graphs_built and nothing else
+// moves.
+func TestServedPointsLeaveNothingInSolveCache(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	m0 := readSolverCounters(t, ts.URL)
+	requests := 0
+	for arch := 1; arch <= maxArch; arch++ {
+		for _, nonLocal := range []bool{false, true} {
+			for i := 0; i < 8; i++ {
+				body := fmt.Sprintf(`{"arch":%d,"conversations":1,"server_compute_us":%g,"non_local":%v}`,
+					arch, 100+437.25*float64(i), nonLocal)
+				if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
+					t.Fatalf("%s: %d %s", body, code, b)
+				}
+				requests++
+			}
+		}
+	}
+	m1 := readSolverCounters(t, ts.URL)
+	graphs := m1.Engine.Graphs - m0.Engine.Graphs
+	if graphs < float64(requests) {
+		t.Fatalf("%d fresh points built %v graphs", requests, graphs)
+	}
+	want := m0.Cache
+	want.Bypassed += graphs
+	if m1.Cache != want {
+		t.Fatalf("after %d fresh points (%v graphs): solve cache %+v -> %+v, want %+v",
+			requests, graphs, m0.Cache, m1.Cache, want)
 	}
 }
 
 // TestMetricsEngineCounters checks the solver engine counters surface
-// through /metrics and move when a cold solve builds a graph: a miss
-// costs a graph build and some explored states, a cache hit costs
-// neither.
+// through /metrics and move when a cold solve builds a graph: a fresh
+// point costs a graph build and some explored states, a response-cache
+// hit costs neither.
 func TestMetricsEngineCounters(t *testing.T) {
-	gtpn.ResetSolveCache()
-	t.Cleanup(gtpn.ResetSolveCache)
 	_, ts := testServer(t, Config{})
 
 	read := func() (graphs, states float64) {
