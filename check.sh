@@ -16,6 +16,23 @@
 # `./check.sh slo` only the SLO/health-prober smoke, and
 # `./check.sh fuzz` only the fuzz smoke — the same blocks the full gate
 # runs.
+#
+# `./check.sh lines` prints the non-test Go line count of each serving-
+# stack package, the core façade and ipcd, plus their total — the size
+# figure a change reports before and after. It is not part of the gate.
+
+if [ "${1:-}" = "lines" ]; then
+    total=0
+    for dir in internal/service internal/cluster internal/obs internal/trace \
+        internal/ringbuf internal/core cmd/ipcd; do
+        n=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+        printf '%-17s %6d\n' "$dir" "$n"
+        total=$((total + n))
+    done
+    printf '%-17s %6d\n' total "$total"
+    exit 0
+fi
+
 set -eux
 
 if [ "${1:-}" = "bench" ]; then

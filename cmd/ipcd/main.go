@@ -9,7 +9,6 @@
 //	ipcd -queue 16 -timeout 30s  16 queued beyond the workers; 30s deadline
 //	ipcd -pprof localhost:6060   net/http/pprof on a separate listener (off by default)
 //	ipcd -trace-dir traces       sample per-request Chrome traces (every -trace-every requests)
-//	ipcd -resp-cache 4096        preencoded-response cache entries (negative disables; 64 MiB of bodies at most)
 //	ipcd -log-format json        structured JSON logs and access records on stderr
 //
 // Cluster mode shards the solve keyspace across a fleet of nodes by
@@ -134,9 +133,7 @@ func main() {
 		pprofAt      = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		traceDir     = flag.String("trace-dir", "", "write sampled per-request Chrome traces into this directory; off when empty")
 		traceEvery   = flag.Int("trace-every", 100, "with -trace-dir, trace every Nth computing request")
-		historyEvery = flag.Duration("history-every", 10*time.Second, "sampling interval for the /metrics/history ring; 0 disables sampling")
-		historySize  = flag.Int("history-size", 0, "samples retained by /metrics/history (0 = 360, an hour at the default interval)")
-		respCache    = flag.Int("resp-cache", 0, "preencoded-response cache entries (0 = 1024, negative disables)")
+		historyEvery = flag.Duration("history-every", 10*time.Second, "sampling interval for the /metrics/history ring (360 samples); 0 disables sampling")
 
 		peers         = flag.String("peers", "", "comma-separated base URLs of the cluster's nodes (may include this one); empty = single-node")
 		clusterSelf   = flag.String("cluster-self", "", "this node's advertised base URL on the ring (required with -peers)")
@@ -145,7 +142,6 @@ func main() {
 
 		logFormat = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
 		nodeName  = flag.String("node-name", "", "this node's name in request IDs, traces and access logs (default: -cluster-self host, else \"ipcd\")")
-		recentReq = flag.Int("recent-requests", 0, "requests retained by the /debug/requests ring (0 = 128)")
 
 		probeEvery  = flag.Duration("probe-every", time.Second, "peer health probe interval in cluster mode; 0 disables probing")
 		eventsSize  = flag.Int("events", 0, "events retained by the /debug/events journal ring (0 = 256)")
@@ -223,19 +219,16 @@ func main() {
 		}
 	}
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		RequestTimeout:   *timeout,
-		TraceDir:         *traceDir,
-		TraceEvery:       *traceEvery,
-		HistorySize:      *historySize,
-		RespCacheEntries: *respCache,
-		NodeName:         name,
-		RecentRequests:   *recentReq,
-		AccessLog:        logger,
-		SLO:              slo.config(),
-		Journal:          journal,
-		Version:          version,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		RequestTimeout: *timeout,
+		TraceDir:       *traceDir,
+		TraceEvery:     *traceEvery,
+		NodeName:       name,
+		AccessLog:      logger,
+		SLO:            slo.config(),
+		Journal:        journal,
+		Version:        version,
 	}
 	if node != nil {
 		cfg.Cluster = node

@@ -74,7 +74,7 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, ccfg *Config, scfg *
 	}
 	tc := &testCluster{urls: urls, handlers: handlers}
 	for i := 0; i < n; i++ {
-		ccfg := Config{Self: urls[i], Peers: urls, ControlTimeout: 2 * time.Second}
+		ccfg := Config{Self: urls[i], Peers: urls}
 		scfg := service.Config{}
 		if mutate != nil {
 			mutate(i, &ccfg, &scfg)
@@ -389,7 +389,7 @@ func TestClusterJoinLeaveRebalance(t *testing.T) {
 	// Nodes 0 and 1 start as a two-member fleet; node 2 only knows the
 	// others from its static list and must announce itself.
 	build := func(i int, peers []string) (*Node, *service.Server) {
-		node, err := New(Config{Self: urls[i], Peers: peers, ControlTimeout: 2 * time.Second})
+		node, err := New(Config{Self: urls[i], Peers: peers})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -744,8 +744,8 @@ func TestClusterControlEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid replicate answered %d", resp.StatusCode)
 	}
-	if st := tc.nodes[0].Stats(); st.ReplicaStores != 1 || st.CacheEntries != 1 {
-		t.Fatalf("stats after replicate = %+v", st)
+	if st, rc := tc.nodes[0].Stats(), tc.srvs[0].RespCache().Stats(); st.ReplicaStores != 1 || rc.Entries != 1 {
+		t.Fatalf("stats after replicate = %+v, resp_cache %+v", st, rc)
 	}
 
 	for _, bad := range []string{`{}`, `{"node":""}`, `junk`} {
@@ -784,8 +784,8 @@ func TestClusterReplicateOffReplicaSetRefused(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte(`"stored":false`)) {
 		t.Fatalf("push off the replica set answered %d %s, want stored false", resp.StatusCode, b)
 	}
-	if st := tc.nodes[outsider].Stats(); st.ReplicaStores != 0 || st.CacheEntries != 0 {
-		t.Fatalf("outsider stats after the push = %+v, want nothing stored", st)
+	if st, rc := tc.nodes[outsider].Stats(), tc.srvs[outsider].RespCache().Stats(); st.ReplicaStores != 0 || rc.Entries != 0 {
+		t.Fatalf("outsider stats after the push = %+v, resp_cache %+v, want nothing stored", st, rc)
 	}
 
 	want := mustSolve(t, ref, p.body(), "")

@@ -101,13 +101,11 @@ func TestClusterObservabilityGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := service.New(service.Config{
-			Workers:        1,
-			HistorySize:    4,
-			RecentRequests: 8,
-			NodeName:       host,
-			Cluster:        node,
-			Journal:        journal,
-			SLO:            []obs.Objective{{Route: "solve", TargetPPM: 990_000}},
+			Workers:  1,
+			NodeName: host,
+			Cluster:  node,
+			Journal:  journal,
+			SLO:      []obs.Objective{{Route: "solve", TargetPPM: 990_000}},
 		})
 		node.Bind(srv)
 		hs := &http.Server{Handler: node.Handler()}

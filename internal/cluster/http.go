@@ -137,9 +137,9 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// The push lands as peer bytes: the key's owner never serves them,
 	// and a local compute of the key replaces them.
 	stored := slices.Contains(n.ReplicasOf(q.Key), n.self) &&
-		n.respCache().PutReplica(q.Key, []byte(q.Body))
+		n.local.RespCache().PutReplica(q.Key, []byte(q.Body))
 	if stored {
-		n.replicaStores.Add(1)
+		n.counts[cReplicaStores].Add(1)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"stored": stored})
 }

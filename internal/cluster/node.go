@@ -32,9 +32,6 @@ type Config struct {
 	// Replicas is how many successor nodes beyond the owner receive a
 	// hot entry. 0 means 1; negative disables replication.
 	Replicas int
-	// ControlTimeout bounds one membership/replication/aggregation
-	// call. 0 means 5 seconds.
-	ControlTimeout time.Duration
 	// Client issues intra-cluster HTTP requests. Nil means a dedicated
 	// client with pooled connections.
 	Client *http.Client
@@ -54,9 +51,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Replicas < 0 {
 		c.Replicas = 0
 	}
-	if c.ControlTimeout <= 0 {
-		c.ControlTimeout = 5 * time.Second
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
@@ -65,6 +59,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// controlTimeout bounds one membership, replication or fan-out call.
+const controlTimeout = 5 * time.Second
 
 // Local is the node's own serving core — implemented by
 // *service.Server. The node serves its handler beside the cluster
@@ -94,15 +91,7 @@ type Node struct {
 	healthMu sync.Mutex // guards health; obs.PeerHealth is not internally locked
 	health   map[string]*obs.PeerHealth
 
-	forwardsOut       atomic.Int64 // forwards attempted
-	forwardServed     atomic.Int64 // forwards answered 200 by the owner
-	forwardFallback   atomic.Int64 // forwards that fell back to local compute
-	forwardsSkipped   atomic.Int64 // forwards skipped: owner known unreachable
-	replicaHits       atomic.Int64 // requests served from held peer bytes
-	replicaStores     atomic.Int64 // replica pushes stored for an owner
-	replicaPushes     atomic.Int64 // entries pushed to a replica
-	replicaPushErrors atomic.Int64 // pushes that failed (best-effort)
-	hopCapLocal       atomic.Int64 // unowned keys computed locally: hop budget spent
+	counts [len(counters)]atomic.Int64 // indexed like counters
 }
 
 var _ service.ClusterRouter = (*Node)(nil)
@@ -130,7 +119,7 @@ func New(cfg Config) (*Node, error) {
 }
 
 // Bind attaches the node's serving core. Must be called once, before
-// Handler.
+// Handler and before the node routes a request.
 func (n *Node) Bind(local Local) { n.local = local }
 
 // Self reports this node's advertised URL.
@@ -260,7 +249,7 @@ func (n *Node) ServeHeld(key string) bool {
 	if _, computes := n.owner(key); computes {
 		return false
 	}
-	n.replicaHits.Add(1)
+	n.counts[cReplicaHits].Add(1)
 	return true
 }
 
@@ -275,8 +264,8 @@ func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.Rou
 	if computes {
 		return service.RoutedResult{}, false
 	}
-	if body, ok := n.respCache().GetKey(spec.Key); ok {
-		n.replicaHits.Add(1)
+	if body, ok := n.local.RespCache().GetKey(spec.Key); ok {
+		n.counts[cReplicaHits].Add(1)
 		trace.ScopeFrom(ctx).Instant("respcache.replica_hit", "cluster")
 		return service.RoutedResult{Status: http.StatusOK, Body: body,
 			Decision: service.DecisionReplicaHit}, true
@@ -285,38 +274,29 @@ func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.Rou
 		// A forwarded request for a key we don't own: the sender's ring
 		// disagrees with ours (a membership change in flight). Computing
 		// locally is byte-identical and cannot loop.
-		n.hopCapLocal.Add(1)
+		n.counts[cHopCapLocal].Add(1)
 		return service.RoutedResult{Decision: service.DecisionHopCappedLocal}, false
 	}
 	if n.peerUnreachable(owner) {
 		// The prober already knows the owner is down: go straight to the
 		// byte-identical local compute instead of paying a dial timeout
 		// to learn it again.
-		n.forwardsSkipped.Add(1)
+		n.counts[cForwardsSkipped].Add(1)
 		trace.ScopeFrom(ctx).Instant("forward.skip_unhealthy", "cluster")
 		return service.RoutedResult{}, false
 	}
-	n.forwardsOut.Add(1)
+	n.counts[cForwardsOut].Add(1)
 	res, err := n.forward(ctx, owner, spec)
 	if err != nil {
 		// Owner unreachable, draining, or shedding load: compute locally.
 		// Capacity degrades to this node's own admission control, and the
 		// bytes stay identical.
-		n.forwardFallback.Add(1)
+		n.counts[cForwardFallback].Add(1)
 		return service.RoutedResult{}, false
 	}
-	n.forwardServed.Add(1)
-	n.respCache().PutReplica(spec.Key, res.Body)
+	n.counts[cForwardServed].Add(1)
+	n.local.RespCache().PutReplica(spec.Key, res.Body)
 	return res, true
-}
-
-// respCache is the bound server's unified response cache (nil before
-// Bind, or when the service disabled caching — both valid no-op views).
-func (n *Node) respCache() *service.RespCache {
-	if n.local == nil {
-		return nil
-	}
-	return n.local.RespCache()
 }
 
 // forward replays spec on the owner, hop count incremented and request
@@ -389,7 +369,7 @@ func (n *Node) Offer(spec service.ComputeSpec, body []byte) {
 }
 
 func (n *Node) pushReplica(member, key string, body []byte, reqID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ControlTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
 	// The originating request's ID rides the push, so a replica's access
 	// log names the request that seeded its cache entry.
@@ -397,10 +377,10 @@ func (n *Node) pushReplica(member, key string, body []byte, reqID string) {
 		map[string]any{"key": key, "body": string(body)}, nil,
 		service.RequestIDHeader, reqID)
 	if err != nil {
-		n.replicaPushErrors.Add(1)
+		n.counts[cReplicaPushErrors].Add(1)
 		return
 	}
-	n.replicaPushes.Add(1)
+	n.counts[cReplicaPushes].Add(1)
 }
 
 // postJSON issues one control-plane POST with a deterministic JSON body
@@ -420,7 +400,7 @@ func (n *Node) postJSON(ctx context.Context, url string, body map[string]any, ou
 // non-nil) and returns the answer's body. Any status but 200 is an
 // error.
 func (n *Node) call(ctx context.Context, method, url string, body []byte, hdrs ...string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ControlTimeout)
+	ctx, cancel := context.WithTimeout(ctx, controlTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
@@ -481,10 +461,38 @@ func (n *Node) FanOut(ctx context.Context, path string, self []byte) service.Fan
 	return service.Fanout{Self: n.self, Members: members, Bodies: bodies}
 }
 
+// The cluster counters, declared once: each row names a counter's key
+// in the node's /metrics "cluster" section and its Stats field, and
+// both views render from the table.
+const (
+	cForwardsOut       = iota // forwards attempted
+	cForwardServed            // forwards answered 200 by the owner
+	cForwardFallback          // forwards that fell back to local compute
+	cForwardsSkipped          // forwards skipped: owner known unreachable
+	cReplicaHits              // requests served from held peer bytes
+	cReplicaStores            // replica pushes stored for an owner
+	cReplicaPushes            // entries pushed to a replica
+	cReplicaPushErrors        // pushes that failed (best-effort)
+	cHopCapLocal              // unowned keys computed locally: hop budget spent
+)
+
+var counters = [...]struct {
+	key   string
+	field func(*Stats) *int64
+}{
+	cForwardsOut:       {"forwards_out", func(st *Stats) *int64 { return &st.ForwardsOut }},
+	cForwardServed:     {"forward_served", func(st *Stats) *int64 { return &st.ForwardServed }},
+	cForwardFallback:   {"forward_fallback", func(st *Stats) *int64 { return &st.ForwardFallback }},
+	cForwardsSkipped:   {"forward_skipped_unhealthy", func(st *Stats) *int64 { return &st.ForwardsSkipped }},
+	cReplicaHits:       {"replica_hits", func(st *Stats) *int64 { return &st.ReplicaHits }},
+	cReplicaStores:     {"replica_stores", func(st *Stats) *int64 { return &st.ReplicaStores }},
+	cReplicaPushes:     {"replica_pushes", func(st *Stats) *int64 { return &st.ReplicaPushes }},
+	cReplicaPushErrors: {"replica_push_errors", func(st *Stats) *int64 { return &st.ReplicaPushErrors }},
+	cHopCapLocal:       {"hop_cap_local", func(st *Stats) *int64 { return &st.HopCapLocal }},
+}
+
 // Stats is a snapshot of the node's cluster counters.
 type Stats struct {
-	Members           int
-	Epoch             int64
 	ForwardsOut       int64
 	ForwardServed     int64
 	ForwardFallback   int64
@@ -494,45 +502,28 @@ type Stats struct {
 	ReplicaPushes     int64
 	ReplicaPushErrors int64
 	HopCapLocal       int64
-	CacheEntries      int
 }
 
 // Stats reports the current counter values.
 func (n *Node) Stats() Stats {
-	return Stats{
-		Members:           n.ring.Load().Size(),
-		Epoch:             n.epoch.Load(),
-		ForwardsOut:       n.forwardsOut.Load(),
-		ForwardServed:     n.forwardServed.Load(),
-		ForwardFallback:   n.forwardFallback.Load(),
-		ForwardsSkipped:   n.forwardsSkipped.Load(),
-		ReplicaHits:       n.replicaHits.Load(),
-		ReplicaStores:     n.replicaStores.Load(),
-		ReplicaPushes:     n.replicaPushes.Load(),
-		ReplicaPushErrors: n.replicaPushErrors.Load(),
-		HopCapLocal:       n.hopCapLocal.Load(),
-		CacheEntries:      n.respCache().Len(),
+	var st Stats
+	for i := range counters {
+		*counters[i].field(&st) = n.counts[i].Load()
 	}
+	return st
 }
 
 // MetricsSnapshot implements service.ClusterRouter: the node's cluster
 // counters as a deterministically encodable tree, merged into the
 // node's own GET /metrics body under "cluster".
 func (n *Node) MetricsSnapshot() map[string]any {
-	st := n.Stats()
-	return map[string]any{
-		"self":                      n.self,
-		"members":                   n.Members(),
-		"epoch":                     st.Epoch,
-		"forwards_out":              st.ForwardsOut,
-		"forward_served":            st.ForwardServed,
-		"forward_fallback":          st.ForwardFallback,
-		"forward_skipped_unhealthy": st.ForwardsSkipped,
-		"replica_hits":              st.ReplicaHits,
-		"replica_stores":            st.ReplicaStores,
-		"replica_pushes":            st.ReplicaPushes,
-		"replica_push_errors":       st.ReplicaPushErrors,
-		"hop_cap_local":             st.HopCapLocal,
-		"cache_entries":             int64(st.CacheEntries),
+	m := map[string]any{
+		"self":    n.self,
+		"members": n.Members(),
+		"epoch":   n.Epoch(),
 	}
+	for i := range counters {
+		m[counters[i].key] = n.counts[i].Load()
+	}
+	return m
 }

@@ -82,9 +82,6 @@ func (r *Ring) Members() []string {
 	return append([]string(nil), r.members...)
 }
 
-// Size reports the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Owner reports the member owning key: the first virtual node at or
 // clockwise after the key's hash. An empty ring owns nothing ("").
 func (r *Ring) Owner(key string) string {

@@ -114,7 +114,7 @@ func TestRingEmpty(t *testing.T) {
 	if reps := r.Replicas("anything", 2); reps != nil {
 		t.Fatalf("empty ring replicas = %v, want nil", reps)
 	}
-	if r.Size() != 0 {
-		t.Fatalf("empty ring size = %d", r.Size())
+	if m := r.Members(); len(m) != 0 {
+		t.Fatalf("empty ring members = %v", m)
 	}
 }

@@ -55,9 +55,6 @@ type EngineStats = gtpn.EngineStats
 // SolverEngine reports the solver engine counters.
 func SolverEngine() EngineStats { return gtpn.SolverEngineStats() }
 
-// ResetSolverEngine zeroes the solver engine counters.
-func ResetSolverEngine() { gtpn.ResetSolverEngineStats() }
-
 // Arch selects the node architecture.
 type Arch = timing.Arch
 

@@ -100,12 +100,10 @@ func TestObservabilityGoldenLocal(t *testing.T) {
 	journal := obs.NewJournal(8, nil, "g0")
 	journal.SetNow(func() time.Time { return time.UnixMilli(7000) })
 	s := New(Config{
-		Workers:        1,
-		HistorySize:    4,
-		RecentRequests: 8,
-		NodeName:       "g0",
-		Journal:        journal,
-		SLO:            []obs.Objective{{Route: "solve", TargetPPM: 990_000}},
+		Workers:  1,
+		NodeName: "g0",
+		Journal:  journal,
+		SLO:      []obs.Objective{{Route: "solve", TargetPPM: 990_000}},
 	})
 	h := s.Handler()
 

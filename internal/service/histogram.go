@@ -45,12 +45,6 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]int64, len(histBounds)+1)}
 }
 
-// HistogramBounds returns a copy of the bucket upper bounds in
-// microseconds.
-func HistogramBounds() []float64 {
-	return append([]float64(nil), histBounds...)
-}
-
 // withExemplars enables per-bucket exemplar retention and returns h.
 func (h *Histogram) withExemplars() *Histogram {
 	h.exemplars = make([]exemplar, len(histBounds)+1)

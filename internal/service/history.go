@@ -10,7 +10,7 @@ type historyPoint struct {
 }
 
 // SampleMetrics appends one observation of the current counters to the
-// in-process history ring — the last HistorySize samples, oldest
+// in-process history ring — the last historySize samples, oldest
 // evicted first — timestamped at t. ipcd calls this on a ticker; tests
 // call it with fixed times for determinism.
 func (s *Server) SampleMetrics(t time.Time) {

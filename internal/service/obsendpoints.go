@@ -130,10 +130,6 @@ func (s *Server) sloJSON() map[string]any {
 // ipcd drives it once per second; tests call it with fixed times.
 func (s *Server) TickSLO(t time.Time) { s.slo.Tick(t.UnixMilli()) }
 
-// SLOSnapshot exposes the tracker's state — the Prometheus exposition
-// and tests read it.
-func (s *Server) SLOSnapshot() []obs.ObjectiveSnapshot { return s.slo.Snapshot() }
-
 // shedEpisodeGapMS separates load-shedding episodes in the journal: a
 // burst of 429s is one operational event, so a new shed record is only
 // minted when this long has passed since the previous one.

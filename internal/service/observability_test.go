@@ -160,7 +160,7 @@ func TestRequestTraceSampling(t *testing.T) {
 // paths while their endpoints copy them out; run under -race this
 // hammers every pairing of the two.
 func TestObservabilityRingsConcurrent(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 2, HistorySize: 4, RecentRequests: 4})
+	s, ts := testServer(t, Config{Workers: 2})
 	// call runs off the test goroutine, so it reports with t.Error.
 	call := func(method, path, body string) {
 		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))

@@ -226,12 +226,13 @@ func TestPrometheusHistogramConsistency(t *testing.T) {
 	}
 }
 
-// The history ring keeps the newest HistorySize samples in order across
+// The history ring keeps the newest historySize samples in order across
 // a wrap, and the endpoint reports them oldest first.
 func TestMetricsHistoryRing(t *testing.T) {
-	s, ts := testServer(t, Config{HistorySize: 4})
+	s, ts := testServer(t, Config{})
 	base := time.UnixMilli(1_000_000)
-	for i := 0; i < 7; i++ {
+	const wrap = 3 // samples pushed past the capacity
+	for i := 0; i < historySize+wrap; i++ {
 		s.SampleMetrics(base.Add(time.Duration(i) * time.Second))
 	}
 	code, body := get(t, ts.URL+"/metrics/history")
@@ -248,22 +249,23 @@ func TestMetricsHistoryRing(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("history not JSON: %v\n%s", err, body)
 	}
-	if doc.Capacity != 4 || len(doc.Points) != 4 {
-		t.Fatalf("capacity %d, %d points, want 4/4", doc.Capacity, len(doc.Points))
+	if doc.Capacity != historySize || len(doc.Points) != historySize {
+		t.Fatalf("capacity %d, %d points, want %d/%d", doc.Capacity, len(doc.Points), historySize, historySize)
 	}
 	for i, p := range doc.Points {
-		// Samples 3..6 survive the wrap, oldest first.
-		if want := base.Add(time.Duration(i+3) * time.Second).UnixMilli(); p.UnixMS != want {
+		// The first wrap samples are evicted; the rest survive, oldest first.
+		if want := base.Add(time.Duration(i+wrap) * time.Second).UnixMilli(); p.UnixMS != want {
 			t.Errorf("point %d: unix_ms %d, want %d", i, p.UnixMS, want)
 		}
 	}
-	s.SampleMetrics(base.Add(10 * time.Second))
+	newest := base.Add((historySize + wrap) * time.Second)
+	s.SampleMetrics(newest)
 	_, body = get(t, ts.URL+"/metrics/history")
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
 	last := doc.Points[len(doc.Points)-1]
-	if last.UnixMS != base.Add(10*time.Second).UnixMilli() {
+	if last.UnixMS != newest.UnixMilli() {
 		t.Fatalf("newest sample not last: %+v", doc.Points)
 	}
 	// The sample above ran after one /metrics/history request completed.
@@ -275,7 +277,7 @@ func TestMetricsHistoryRing(t *testing.T) {
 // All observability endpoints stay reachable during a drain — and
 // healthz's 503 carries the draining status in its JSON body.
 func TestObservabilityDuringDrain(t *testing.T) {
-	s, ts := testServer(t, Config{HistorySize: 4})
+	s, ts := testServer(t, Config{})
 	s.SampleMetrics(time.UnixMilli(5))
 	s.BeginDrain()
 

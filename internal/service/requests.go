@@ -10,7 +10,7 @@ import (
 // ID at ingress — minted from the node's name and a per-node sequence,
 // or inherited verbatim when an upstream cluster node already named it
 // (X-Ipcd-Request-Id) — so one logical request keeps one ID across
-// every hop it takes through the fleet. The last RecentRequests
+// every hop it takes through the fleet. The last recentRequests
 // completed requests are retained in a fixed-capacity ring served by
 // GET /debug/requests: id, route, coalescing key, status, the routing
 // decision that answered it, and the per-phase durations, which is the

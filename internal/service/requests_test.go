@@ -122,21 +122,23 @@ func TestRequestIDInherited(t *testing.T) {
 	}
 }
 
-// The ring retains exactly RecentRequests rows, oldest evicted first.
+// The ring retains exactly recentRequests rows, oldest evicted first.
 func TestRecentRequestsRingWrap(t *testing.T) {
-	_, ts := testServer(t, Config{NodeName: "n1", RecentRequests: 3})
-	for i := 0; i < 5; i++ {
+	_, ts := testServer(t, Config{NodeName: "n1"})
+	const wrap = 2 // requests served past the capacity
+	for i := 0; i < recentRequests+wrap; i++ {
 		if code, _, b := post(t, ts.URL+"/v1/solve", solveBody); code != 200 {
 			t.Fatalf("solve %d: %d %s", i, code, b)
 		}
 	}
 	doc := debugRequests(t, ts.URL)
-	if doc.Capacity != 3 || len(doc.Requests) != 3 {
-		t.Fatalf("capacity %d with %d rows, want 3/3", doc.Capacity, len(doc.Requests))
+	if doc.Capacity != recentRequests || len(doc.Requests) != recentRequests {
+		t.Fatalf("capacity %d with %d rows, want %d/%d", doc.Capacity, len(doc.Requests), recentRequests, recentRequests)
 	}
-	for i, want := range []string{"n1-3", "n1-4", "n1-5"} {
-		if doc.Requests[i].ID != want {
-			t.Fatalf("row %d ID = %q, want %q (oldest first after wrap)", i, doc.Requests[i].ID, want)
+	for i, row := range doc.Requests {
+		// IDs count from 1, so the oldest survivor is n1-(wrap+1).
+		if want := "n1-" + strconv.Itoa(i+wrap+1); row.ID != want {
+			t.Fatalf("row %d ID = %q, want %q (oldest first after wrap)", i, row.ID, want)
 		}
 	}
 }

@@ -48,9 +48,7 @@ type RespCacheStats struct {
 	TraceBypass int64 // traced requests that skipped the fast path
 }
 
-// RespCache is the LRU-bounded preencoded-response cache. A nil
-// *RespCache is a valid "caching disabled" cache: every method is a
-// cheap nil-check no-op, mirroring the trace and counters contracts.
+// RespCache is the LRU-bounded preencoded-response cache.
 type RespCache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -68,8 +66,12 @@ type RespCache struct {
 	nextHighWater int64
 }
 
-// respCacheMaxBytes bounds a Server's cache by the sum of its bodies.
-const respCacheMaxBytes = 64 << 20
+// A Server's cache holds at most respCacheEntries entries and
+// respCacheMaxBytes bytes of bodies.
+const (
+	respCacheEntries  = 1024
+	respCacheMaxBytes = 64 << 20
+)
 
 func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 	return &RespCache{
@@ -87,9 +89,6 @@ func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 // lookup converts it without allocating, and the returned key is the
 // entry's own string.
 func (c *RespCache) get(key []byte) (ckey string, body []byte, local, ok bool) {
-	if c == nil {
-		return "", nil, false, false
-	}
 	c.mu.Lock()
 	e := c.byKey[string(key)]
 	if e == nil {
@@ -124,9 +123,6 @@ func (c *RespCache) countHeld(served bool) {
 // never consult the cache, and without this counter that skew
 // would be invisible in the hit/miss ratio.
 func (c *RespCache) TraceBypass() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.counts.TraceBypass++
 	c.mu.Unlock()
@@ -137,9 +133,6 @@ func (c *RespCache) TraceBypass() {
 // found entry counts as a hit immediately: the routing layer serves
 // what it finds.
 func (c *RespCache) GetKey(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	e := c.byKey[key]
 	if e == nil {
@@ -177,9 +170,6 @@ const respCacheHighWaterStart = 1 << 20
 // setHighWaterHook installs the high-water callback. Call before the
 // cache serves traffic (service.New does).
 func (c *RespCache) setHighWaterHook(start int64, fn func(bytes int64)) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.nextHighWater = start
 	c.onHighWater = fn
@@ -187,9 +177,6 @@ func (c *RespCache) setHighWaterHook(start int64, fn func(bytes int64)) {
 }
 
 func (c *RespCache) put(key string, body []byte, local bool) bool {
-	if c == nil {
-		return false
-	}
 	if c.maxBytes > 0 && int64(len(body)) > c.maxBytes {
 		// A single body larger than the whole byte budget would evict
 		// everything and still not fit; refuse it instead.
@@ -281,21 +268,8 @@ func (c *RespCache) moveToFrontLocked(e *respEntry) {
 	c.pushFrontLocked(e)
 }
 
-// Len reports the number of cached entries (0 on nil).
-func (c *RespCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
-}
-
-// Stats reports the cache counters (zeros on nil).
+// Stats reports the cache counters.
 func (c *RespCache) Stats() RespCacheStats {
-	if c == nil {
-		return RespCacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.counts

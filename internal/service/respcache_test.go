@@ -14,8 +14,8 @@ import (
 // encode: the cache stores what the encoder produced, so a hit is
 // byte-identical to a cold compute, across solve and simulate.
 func TestRespCacheByteIdentity(t *testing.T) {
-	_, warm := testServer(t, Config{})
-	_, cold := testServer(t, Config{RespCacheEntries: -1})
+	warmSrv, warm := testServer(t, Config{})
+	coldSrv, cold := testServer(t, Config{})
 
 	simBody := `{"arch":3,"conversations":2,"server_compute_us":1140,"seconds":2,"seed":7}`
 	for _, tc := range []struct{ path, body string }{
@@ -34,6 +34,14 @@ func TestRespCacheByteIdentity(t *testing.T) {
 		if code != 200 || !bytes.Equal(hit, fresh) {
 			t.Fatalf("%s cached vs freshly encoded:\n  %s\n  %s", tc.path, hit, fresh)
 		}
+	}
+	// The warm server answered each repeat from the cache; the fresh one
+	// computed each point once.
+	if st := warmSrv.respCache.Stats(); st.Hits != 2 || st.Stores != 2 {
+		t.Fatalf("warm resp_cache = %+v, want 2 hits / 2 stores", st)
+	}
+	if st := coldSrv.respCache.Stats(); st.Hits != 0 || st.Stores != 2 {
+		t.Fatalf("fresh resp_cache = %+v, want 0 hits / 2 stores", st)
 	}
 }
 
@@ -86,23 +94,6 @@ func TestRespCacheHitCounters(t *testing.T) {
 		if !bytes.Contains(prom.Bytes(), []byte(want+"\n")) {
 			t.Fatalf("prometheus exposition missing %q:\n%s", want, prom.String())
 		}
-	}
-}
-
-// With the cache disabled, every identical request leads its own
-// flight again.
-func TestRespCacheDisabled(t *testing.T) {
-	s, ts := testServer(t, Config{RespCacheEntries: -1})
-	if s.RespCache() != nil {
-		t.Fatal("RespCacheEntries: -1 must disable the cache")
-	}
-	post(t, ts.URL+"/v1/solve", solveBody)
-	post(t, ts.URL+"/v1/solve", solveBody)
-	s.metrics.mu.Lock()
-	leaders := s.metrics.c[fLeaders]
-	s.metrics.mu.Unlock()
-	if leaders != 2 {
-		t.Fatalf("leaders = %d, want 2 with caching off", leaders)
 	}
 }
 

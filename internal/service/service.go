@@ -57,25 +57,10 @@ type Config struct {
 	// TraceEvery is the trace sampling interval; 0 means 100 (trace one
 	// request in a hundred).
 	TraceEvery int
-	// HistorySize bounds the in-process metrics time series served by
-	// GET /metrics/history: a fixed-capacity ring of counter samples
-	// appended by SampleMetrics. 0 means 360 (an hour at ipcd's default
-	// ten-second sampling interval).
-	HistorySize int
-	// RespCacheEntries bounds the preencoded-response cache: identical
-	// solve/simulate requests are answered from stored canonical bytes
-	// without decoding, computing, or re-encoding. 0 means 1024; negative
-	// disables the cache. Its bodies are bounded by respCacheMaxBytes.
-	RespCacheEntries int
 	// NodeName labels this node in request IDs, trace process lanes,
 	// and access logs. Empty means "ipcd"; ipcd derives it from the
 	// advertised cluster URL in cluster mode.
 	NodeName string
-	// RecentRequests bounds the /debug/requests ring: the last N
-	// completed requests' observability rows (id, route, key, routing
-	// decision, per-phase durations). 0 means 128; values below 1 are
-	// clamped to 1 (the endpoint always answers).
-	RecentRequests int
 	// AccessLog, when non-nil, receives one structured record per
 	// completed request, carrying the request ID. Nil (the default)
 	// disables access logging and keeps the untraced serving fast path
@@ -118,23 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.TraceEvery <= 0 {
 		c.TraceEvery = 100
 	}
-	if c.HistorySize <= 0 {
-		c.HistorySize = 360
-	}
-	if c.RespCacheEntries == 0 {
-		c.RespCacheEntries = 1024
-	}
-	if c.RespCacheEntries < 0 {
-		c.RespCacheEntries = 0 // disabled
-	}
 	if c.NodeName == "" {
 		c.NodeName = "ipcd"
-	}
-	if c.RecentRequests == 0 {
-		c.RecentRequests = 128
-	}
-	if c.RecentRequests < 1 {
-		c.RecentRequests = 1
 	}
 	if c.SLO == nil {
 		c.SLO = obs.DefaultObjectives()
@@ -144,6 +114,18 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The capacities of the Server's observability rings.
+const (
+	// historySize bounds the /metrics/history ring of counter samples
+	// appended by SampleMetrics: an hour at ipcd's default ten-second
+	// sampling interval.
+	historySize = 360
+	// recentRequests bounds the /debug/requests ring: the last completed
+	// requests' observability rows (id, route, key, routing decision,
+	// per-phase durations).
+	recentRequests = 128
+)
 
 // Server is the ipcd request-processing core, independent of any
 // listener so tests can drive it through httptest.
@@ -158,9 +140,9 @@ type Server struct {
 	historyMu  sync.Mutex
 	history    *ringbuf.Ring[historyPoint]
 	requestsMu sync.Mutex
-	requests   *ringbuf.Ring[requestRecord] // the last RecentRequests completed requests
-	respCache  *RespCache                   // nil when disabled
-	slo        *obs.Tracker                 // nil when SLO tracking is disabled
+	requests   *ringbuf.Ring[requestRecord] // the last recentRequests completed requests
+	respCache  *RespCache
+	slo        *obs.Tracker // nil when SLO tracking is disabled
 	start      time.Time
 	lastShedMS atomic.Int64 // journal rate limit for shed episodes
 	traceSeq   atomic.Int64 // computing requests seen, for trace sampling
@@ -197,17 +179,15 @@ func New(cfg Config) *Server {
 			s.systems[a][h] = core.New(core.Arch(a+1), core.WithHosts(h+1))
 		}
 	}
-	s.history = ringbuf.New[historyPoint](s.cfg.HistorySize)
-	s.requests = ringbuf.New[requestRecord](s.cfg.RecentRequests)
-	if s.cfg.RespCacheEntries > 0 {
-		s.respCache = newRespCache(s.cfg.RespCacheEntries, respCacheMaxBytes)
-		if s.cfg.Journal != nil {
-			journal, node := s.cfg.Journal, s.cfg.NodeName
-			s.respCache.setHighWaterHook(respCacheHighWaterStart, func(bytes int64) {
-				journal.Record(obs.EventRespCache, node,
-					"bytes high-water "+strconv.FormatInt(bytes, 10))
-			})
-		}
+	s.history = ringbuf.New[historyPoint](historySize)
+	s.requests = ringbuf.New[requestRecord](recentRequests)
+	s.respCache = newRespCache(respCacheEntries, respCacheMaxBytes)
+	if s.cfg.Journal != nil {
+		journal, node := s.cfg.Journal, s.cfg.NodeName
+		s.respCache.setHighWaterHook(respCacheHighWaterStart, func(bytes int64) {
+			journal.Record(obs.EventRespCache, node,
+				"bytes high-water "+strconv.FormatInt(bytes, 10))
+		})
 	}
 	if len(s.cfg.SLO) > 0 {
 		s.slo = obs.NewTracker(s.cfg.SLO, s.cfg.Journal)
@@ -238,9 +218,6 @@ func (s *Server) BeginDrain() {
 		s.cfg.Journal.Record(obs.EventDrain, s.cfg.NodeName, "drain begun: refusing new work")
 	}
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight reports the number of requests currently being served.
 func (s *Server) InFlight() int64 {
@@ -906,10 +883,8 @@ func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface
 // the pipeline. Reports whether it answered.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte) bool {
 	if sc := trace.ScopeFrom(r.Context()); sc != nil {
-		if s.respCache != nil {
-			s.respCache.TraceBypass()
-			sc.Instant("respcache.bypass", "serve")
-		}
+		s.respCache.TraceBypass()
+		sc.Instant("respcache.bypass", "serve")
 		return false
 	}
 	ckey, body, local, ok := s.respCache.get(key)
@@ -945,9 +920,9 @@ func (s *Server) computePoint(w http.ResponseWriter, r *http.Request, route, key
 	s.coalesce(w, r, ComputeSpec{Route: route, Key: key, Body: body, Hops: hops, RequestID: rec.idString()}, fn)
 }
 
-// RespCache exposes the preencoded-response cache (nil when disabled).
-// The cluster tier stores peer bytes — replica pushes and the answers
-// its forwards bring back — into it and serves them from it.
+// RespCache exposes the preencoded-response cache. The cluster tier
+// stores peer bytes — replica pushes and the answers its forwards bring
+// back — into it and serves them from it.
 func (s *Server) RespCache() *RespCache { return s.respCache }
 
 // simulateRequest is the body of POST /v1/simulate: the workload point

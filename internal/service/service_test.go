@@ -376,12 +376,10 @@ func readSolverCounters(t *testing.T, url string) solverCounters {
 // counts one bypass and adds no entry, no hit and no miss. (gtpn's
 // cache_test.go pins hit and miss counting.)
 func TestMetricsCacheCounters(t *testing.T) {
-	// Response caching off: the repeat request must reach the solver.
-	_, ts := testServer(t, Config{RespCacheEntries: -1})
+	_, ts := testServer(t, Config{})
 
 	c0 := readSolverCounters(t, ts.URL).Cache
-	body := `{"arch":4,"conversations":1,"server_compute_us":570}`
-	if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
+	if code, _, b := post(t, ts.URL+"/v1/solve", `{"arch":4,"conversations":1,"server_compute_us":570}`); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
 	// The first solve of an arch also solves the Server's C.
@@ -391,12 +389,14 @@ func TestMetricsCacheCounters(t *testing.T) {
 	if c1 != want {
 		t.Fatalf("cold solve: solve cache %+v -> %+v, want %+v", c0, c1, want)
 	}
-	if code, _, b := post(t, ts.URL+"/v1/solve", body); code != 200 {
+	// A second point of the arch misses the response cache and reaches
+	// the solver, which solves it alone.
+	if code, _, b := post(t, ts.URL+"/v1/solve", `{"arch":4,"conversations":1,"server_compute_us":571}`); code != 200 {
 		t.Fatalf("solve: %d %s", code, b)
 	}
 	want.Bypassed++
 	if c2 := readSolverCounters(t, ts.URL).Cache; c2 != want {
-		t.Fatalf("repeat solve: solve cache %+v -> %+v, want %+v", c1, c2, want)
+		t.Fatalf("second point: solve cache %+v -> %+v, want %+v", c1, c2, want)
 	}
 }
 
