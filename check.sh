@@ -40,6 +40,16 @@ if [ "${1:-}" = "bench" ]; then
     exit 0
 fi
 
+# Every file the smokes write lives in one directory: mktemp honours
+# TMPDIR, and the directory goes on exit, so two gate runs on one host
+# never share a path. A smoke's own EXIT trap stops its processes, then
+# removes the directory too.
+CHECK_TMP=$(mktemp -d)
+remove_check_tmp() {
+    rm -rf "$CHECK_TMP"
+}
+trap remove_check_tmp EXIT
+
 # Fuzz smoke: every fuzz target runs briefly so a crasher or a broken
 # corpus fails the gate long before a dedicated fuzzing run. This is the
 # one list of targets, as package:target.
@@ -66,16 +76,16 @@ fuzz_smoke() {
 # is computed over bodies from every target), and after it every node's
 # process solve cache must hold no entry (a served solve skips it).
 cluster_smoke() {
-    go build -o /tmp/ipcd.check ./cmd/ipcd
+    go build -o "$CHECK_TMP/ipcd" ./cmd/ipcd
     CLUSTER_PIDS=""
     cleanup_cluster() {
         for p in $CLUSTER_PIDS; do kill "$p" 2>/dev/null || true; done
         CLUSTER_PIDS=""
     }
-    trap cleanup_cluster EXIT
+    trap 'cleanup_cluster; remove_check_tmp' EXIT
     CLUSTER_PEERS="http://127.0.0.1:18081,http://127.0.0.1:18082,http://127.0.0.1:18083"
     for port in 18081 18082 18083; do
-        /tmp/ipcd.check -addr 127.0.0.1:$port -cluster-self "http://127.0.0.1:$port" -peers "$CLUSTER_PEERS" &
+        "$CHECK_TMP/ipcd" -addr 127.0.0.1:$port -cluster-self "http://127.0.0.1:$port" -peers "$CLUSTER_PEERS" &
         CLUSTER_PIDS="$CLUSTER_PIDS $!"
     done
     for port in 18081 18082 18083; do
@@ -89,10 +99,10 @@ cluster_smoke() {
     solve_body='{"arch":2,"conversations":1,"server_compute_us":1140}'
     for port in 18081 18082 18083; do
         curl -fsS -X POST -H 'Content-Type: application/json' -d "$solve_body" \
-            "http://127.0.0.1:$port/v1/solve" >"/tmp/cluster_solve_$port.json"
+            "http://127.0.0.1:$port/v1/solve" >"$CHECK_TMP/cluster_solve_$port.json"
     done
-    cmp /tmp/cluster_solve_18081.json /tmp/cluster_solve_18082.json
-    cmp /tmp/cluster_solve_18081.json /tmp/cluster_solve_18083.json
+    cmp "$CHECK_TMP/cluster_solve_18081.json" "$CHECK_TMP/cluster_solve_18082.json"
+    cmp "$CHECK_TMP/cluster_solve_18081.json" "$CHECK_TMP/cluster_solve_18083.json"
     # Every node now holds the answer — its own compute, or the owner's
     # bytes kept from its forward or pushed to it — so the same solve
     # through every node again must be a fast-path answer everywhere: it
@@ -106,7 +116,7 @@ cluster_smoke() {
     counters_before=$(repeat_counters)
     for port in 18081 18082 18083; do
         curl -fsS -X POST -H 'Content-Type: application/json' -d "$solve_body" \
-            "http://127.0.0.1:$port/v1/solve" | cmp - /tmp/cluster_solve_18081.json
+            "http://127.0.0.1:$port/v1/solve" | cmp - "$CHECK_TMP/cluster_solve_18081.json"
     done
     test "$(repeat_counters)" = "$counters_before"
     curl -fsS "http://127.0.0.1:18081/metrics?scope=cluster" | grep -q '"unreachable":\[\]'
@@ -118,7 +128,7 @@ cluster_smoke() {
         curl -fsS "http://127.0.0.1:$port/metrics" | grep -oE '"gtpn_cache":\{[^}]*\}' | grep -qE '"entries":0[,}]'
     done
     cleanup_cluster
-    trap - EXIT
+    trap remove_check_tmp EXIT
 }
 
 # Open-loop smoke: one real ipcd on loopback, driven by ipcload in
@@ -127,29 +137,29 @@ cluster_smoke() {
 # dominate raw — a request is never sent before its intended arrival
 # time, so (completion - intended) >= (completion - send) pointwise.
 openloop_smoke() {
-    go build -o /tmp/ipcd.check ./cmd/ipcd
-    /tmp/ipcd.check -addr 127.0.0.1:18091 &
+    go build -o "$CHECK_TMP/ipcd" ./cmd/ipcd
+    "$CHECK_TMP/ipcd" -addr 127.0.0.1:18091 &
     OPENLOOP_PID=$!
     cleanup_openloop() {
         kill "$OPENLOOP_PID" 2>/dev/null || true
     }
-    trap cleanup_openloop EXIT
+    trap 'cleanup_openloop; remove_check_tmp' EXIT
     i=0
     until curl -fsS "http://127.0.0.1:18091/healthz" >/dev/null 2>&1; do
         i=$((i + 1))
         test "$i" -lt 100
         sleep 0.1
     done
-    go run ./cmd/ipcload -addr http://127.0.0.1:18091 -rate 200 -c 4 -duration 3s | tee /tmp/openloop.out
-    grep -q '"p50_raw_us"' /tmp/openloop.out
-    grep -q '"p50_corrected_us"' /tmp/openloop.out
-    raw=$(sed -n 's/.*"p50_raw_us":\([0-9][0-9]*\).*/\1/p' /tmp/openloop.out)
-    corr=$(sed -n 's/.*"p50_corrected_us":\([0-9][0-9]*\).*/\1/p' /tmp/openloop.out)
+    go run ./cmd/ipcload -addr http://127.0.0.1:18091 -rate 200 -c 4 -duration 3s | tee "$CHECK_TMP/openloop.out"
+    grep -q '"p50_raw_us"' "$CHECK_TMP/openloop.out"
+    grep -q '"p50_corrected_us"' "$CHECK_TMP/openloop.out"
+    raw=$(sed -n 's/.*"p50_raw_us":\([0-9][0-9]*\).*/\1/p' "$CHECK_TMP/openloop.out")
+    corr=$(sed -n 's/.*"p50_corrected_us":\([0-9][0-9]*\).*/\1/p' "$CHECK_TMP/openloop.out")
     test -n "$raw"
     test -n "$corr"
     awk -v c="$corr" -v r="$raw" 'BEGIN { exit (c + 0 >= r + 0 && r + 0 >= 0) ? 0 : 1 }'
     cleanup_openloop
-    trap - EXIT
+    trap remove_check_tmp EXIT
 }
 
 # Observability smoke: a three-node cluster with per-request tracing,
@@ -159,17 +169,18 @@ openloop_smoke() {
 # JSON access logs under the SAME request ID, and (c) show up in the
 # cluster-merged /debug/requests view with its routing decision.
 obsv_smoke() {
-    go build -o /tmp/ipcd.check ./cmd/ipcd
-    OBSV_DIR=$(mktemp -d)
+    go build -o "$CHECK_TMP/ipcd" ./cmd/ipcd
+    OBSV_DIR="$CHECK_TMP/obsv"
+    mkdir "$OBSV_DIR"
     OBSV_PIDS=""
     cleanup_obsv() {
         for p in $OBSV_PIDS; do kill "$p" 2>/dev/null || true; done
         OBSV_PIDS=""
     }
-    trap cleanup_obsv EXIT
+    trap 'cleanup_obsv; remove_check_tmp' EXIT
     OBSV_PEERS="http://127.0.0.1:18101,http://127.0.0.1:18102,http://127.0.0.1:18103"
     for port in 18101 18102 18103; do
-        /tmp/ipcd.check -addr 127.0.0.1:$port -cluster-self "http://127.0.0.1:$port" \
+        "$CHECK_TMP/ipcd" -addr 127.0.0.1:$port -cluster-self "http://127.0.0.1:$port" \
             -peers "$OBSV_PEERS" -cluster-replicas -1 -node-name "n$port" \
             -log-format json -trace-dir "$OBSV_DIR/t$port" -trace-every 1 \
             2>"$OBSV_DIR/log$port.json" &
@@ -206,7 +217,7 @@ obsv_smoke() {
     grep -q '"name":"admission.wait"' "$tracefile"
     # (b) Both nodes' access logs are valid JSON and share the request
     # ID the forwarder minted.
-    cat >/tmp/obsv_checklog.go <<'EOF'
+    cat >"$CHECK_TMP/obsv_checklog.go" <<'EOF'
 // Smoke helper: every line of each file must parse as JSON. With -id,
 // at least one access record carrying that id must appear in EVERY
 // file; with -print, the first solve access record's id is printed.
@@ -257,15 +268,15 @@ func main() {
 	}
 }
 EOF
-    req_id=$(go run /tmp/obsv_checklog.go -print "$OBSV_DIR/log$forwarder.json")
+    req_id=$(go run "$CHECK_TMP/obsv_checklog.go" -print "$OBSV_DIR/log$forwarder.json")
     test -n "$req_id"
     # The ID must appear in the forwarder's log AND in at least one other
     # node's log (the owner inherited it on the forwarded hop).
-    go run /tmp/obsv_checklog.go -id "$req_id" "$OBSV_DIR/log$forwarder.json"
+    go run "$CHECK_TMP/obsv_checklog.go" -id "$req_id" "$OBSV_DIR/log$forwarder.json"
     others=0
     for port in 18101 18102 18103; do
         if [ "$port" != "$forwarder" ] &&
-            go run /tmp/obsv_checklog.go -id "$req_id" "$OBSV_DIR/log$port.json" 2>/dev/null; then
+            go run "$CHECK_TMP/obsv_checklog.go" -id "$req_id" "$OBSV_DIR/log$port.json" 2>/dev/null; then
             others=$((others + 1))
         fi
     done
@@ -277,7 +288,7 @@ EOF
     go run ./cmd/ipcload -json -addr "http://127.0.0.1:18101" -c 2 -duration 1s |
         grep -q '"digest":"'
     cleanup_obsv
-    trap - EXIT
+    trap remove_check_tmp EXIT
 }
 
 # SLO / health-prober smoke: a three-node cluster with SLO tracking and
@@ -288,17 +299,17 @@ EOF
 # peer_health transitions, and the SLO windows must hold the load's
 # samples.
 slo_smoke() {
-    go build -o /tmp/ipcd.check ./cmd/ipcd
-    go build -o /tmp/ipctop.check ./cmd/ipctop
+    go build -o "$CHECK_TMP/ipcd" ./cmd/ipcd
+    go build -o "$CHECK_TMP/ipctop" ./cmd/ipctop
     SLO_PIDS=""
     cleanup_slo() {
         for p in $SLO_PIDS; do kill -9 "$p" 2>/dev/null || true; done
         SLO_PIDS=""
     }
-    trap cleanup_slo EXIT
+    trap 'cleanup_slo; remove_check_tmp' EXIT
     SLO_PEERS="http://127.0.0.1:18111,http://127.0.0.1:18112,http://127.0.0.1:18113"
     for port in 18111 18112 18113; do
-        /tmp/ipcd.check -addr 127.0.0.1:$port -cluster-self "http://127.0.0.1:$port" \
+        "$CHECK_TMP/ipcd" -addr 127.0.0.1:$port -cluster-self "http://127.0.0.1:$port" \
             -peers "$SLO_PEERS" -node-name "n$port" -probe-every 200ms \
             -slo "route=solve,p=99,lat=50ms" &
         SLO_PIDS="$SLO_PIDS $!"
@@ -314,27 +325,27 @@ slo_smoke() {
     done
     # Open-loop load across the fleet; the JSON summary must carry the
     # per-second throughput timeline.
-    go run ./cmd/ipcload -targets "$SLO_PEERS" -rate 150 -c 3 -duration 3s -json >/tmp/slo_load.json
-    grep -q '"timeline":\[{' /tmp/slo_load.json
+    go run ./cmd/ipcload -targets "$SLO_PEERS" -rate 150 -c 3 -duration 3s -json >"$CHECK_TMP/slo_load.json"
+    grep -q '"timeline":\[{' "$CHECK_TMP/slo_load.json"
     # Crash one node (SIGKILL: no drain, no ring leave) and wait for the
     # survivors' probers to walk it to unreachable.
     kill -9 "$SLO_PID_18113"
     SLO_SURVIVORS="http://127.0.0.1:18111,http://127.0.0.1:18112"
     i=0
-    until /tmp/ipctop.check -targets "$SLO_SURVIVORS" -once -json |
+    until "$CHECK_TMP/ipctop" -targets "$SLO_SURVIVORS" -once -json |
         grep -q '"state":"unreachable"'; do
         i=$((i + 1))
         test "$i" -lt 50
         sleep 0.2
     done
-    /tmp/ipctop.check -targets "$SLO_PEERS" -once -json >/tmp/slo_top.json
-    grep -q '"reachable":false' /tmp/slo_top.json            # the dead target
-    grep -q '"type":"peer_health"' /tmp/slo_top.json         # survivor events
-    grep -q '"window":"1m"' /tmp/slo_top.json                # SLO windows...
-    grep -q '"total":[1-9]' /tmp/slo_top.json                # ...populated
-    grep -q '"name":"solve:p99:lat50ms"' /tmp/slo_top.json   # the -slo flag's objective
+    "$CHECK_TMP/ipctop" -targets "$SLO_PEERS" -once -json >"$CHECK_TMP/slo_top.json"
+    grep -q '"reachable":false' "$CHECK_TMP/slo_top.json"            # the dead target
+    grep -q '"type":"peer_health"' "$CHECK_TMP/slo_top.json"         # survivor events
+    grep -q '"window":"1m"' "$CHECK_TMP/slo_top.json"                # SLO windows...
+    grep -q '"total":[1-9]' "$CHECK_TMP/slo_top.json"                # ...populated
+    grep -q '"name":"solve:p99:lat50ms"' "$CHECK_TMP/slo_top.json"   # the -slo flag's objective
     cleanup_slo
-    trap - EXIT
+    trap remove_check_tmp EXIT
 }
 
 if [ "${1:-}" = "cluster" ]; then

@@ -12,18 +12,18 @@
 //	ipcd -log-format json        structured JSON logs and access records on stderr
 //
 // Cluster mode shards the solve keyspace across a fleet of nodes by
-// consistent hashing on the coalescing key (the validated parameters):
+// rendezvous hashing on the coalescing key (the validated parameters):
 //
 //	ipcd -addr :8080 -cluster-self http://10.0.0.1:8080 \
 //	     -peers http://10.0.0.2:8080,http://10.0.0.3:8080
 //
-// Each node owns a slice of the ring (64 virtual nodes per member),
-// forwards misses to the owning peer (coalescing cluster-wide on the
-// owner's in-flight solve), and replicates hot entries to the key's
-// next ring successor. Responses are byte-identical whichever node
-// answers. -cluster-listen moves the cluster traffic (forwards,
-// membership, replication) onto a separate listener; peers must then
-// advertise that address in -peers.
+// Every node ranks the members for each key by a hash of (key, member);
+// the highest-ranked member owns the key. A node forwards misses to the
+// owning peer (coalescing cluster-wide on the owner's in-flight solve)
+// and replicates hot entries to the key's next-ranked member. Responses
+// are byte-identical whichever node answers. -cluster-listen moves the
+// cluster traffic (forwards, membership, replication) onto a separate
+// listener; peers must then advertise that address in -peers.
 //
 // Endpoints:
 //
@@ -58,8 +58,9 @@
 //
 // On SIGTERM/SIGINT the daemon drains: in cluster mode it first leaves
 // the ring — handing its key slots to the surviving members — then
-// in-flight requests complete, new ones are refused with 503, and the
-// process exits once idle or after -drain at the latest.
+// in-flight requests complete on both listeners, new ones are refused
+// with 503, and the process exits once idle or after -drain at the
+// latest.
 package main
 
 import (
@@ -138,13 +139,12 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated base URLs of the cluster's nodes (may include this one); empty = single-node")
 		clusterSelf   = flag.String("cluster-self", "", "this node's advertised base URL on the ring (required with -peers)")
 		clusterListen = flag.String("cluster-listen", "", "serve cluster traffic (forwards, membership, replication) on this separate address; empty = the main listener")
-		replicas      = flag.Int("cluster-replicas", 0, "ring successors receiving each hot entry (0 = 1, negative disables replication)")
+		replicas      = flag.Int("cluster-replicas", 0, "members ranked after a key's owner that receive each hot entry (0 = 1, negative disables replication)")
 
 		logFormat = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
 		nodeName  = flag.String("node-name", "", "this node's name in request IDs, traces and access logs (default: -cluster-self host, else \"ipcd\")")
 
 		probeEvery  = flag.Duration("probe-every", time.Second, "peer health probe interval in cluster mode; 0 disables probing")
-		eventsSize  = flag.Int("events", 0, "events retained by the /debug/events journal ring (0 = 256)")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 	)
 	var slo sloFlags
@@ -201,7 +201,7 @@ func main() {
 	if journalName == "" {
 		journalName = "ipcd"
 	}
-	journal := obs.NewJournal(*eventsSize, logger, journalName)
+	journal := obs.NewJournal(0, logger, journalName)
 	var node *cluster.Node
 	if *peers != "" {
 		if *clusterSelf == "" {
@@ -286,8 +286,9 @@ func main() {
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	var csrv *http.Server
 	if node != nil && *clusterListen != "" {
-		csrv := &http.Server{Addr: *clusterListen, Handler: node.Handler(), ReadHeaderTimeout: 10 * time.Second}
+		csrv = &http.Server{Addr: *clusterListen, Handler: node.Handler(), ReadHeaderTimeout: 10 * time.Second}
 		go func() {
 			logger.Info("cluster listener", "addr", *clusterListen)
 			if err := csrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -352,8 +353,16 @@ func main() {
 	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("shutdown", "err", err)
+	// Both listeners drain under the one deadline: a forward still
+	// computing on the cluster listener finishes, so the peer gets this
+	// node's answer instead of an empty reply.
+	for _, hs := range []*http.Server{httpSrv, csrv} {
+		if hs == nil {
+			continue
+		}
+		if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			logger.Error("shutdown", "err", err)
+		}
 	}
 	logger.Info("drained, exiting")
 }

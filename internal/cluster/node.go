@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,8 @@ type Config struct {
 	// (Self may be included; it is deduplicated). All nodes that agree
 	// on the member set agree on every key's owner.
 	Peers []string
-	// Replicas is how many successor nodes beyond the owner receive a
-	// hot entry. 0 means 1; negative disables replication.
+	// Replicas is how many members ranked after the owner receive a hot
+	// entry. 0 means 1; negative disables replication.
 	Replicas int
 	// Client issues intra-cluster HTTP requests. Nil means a dedicated
 	// client with pooled connections.
@@ -82,10 +83,9 @@ type Node struct {
 	self  string
 	local Local
 
-	mu      sync.Mutex // guards members and the ring swap
-	members map[string]bool
-	ring    atomic.Pointer[Ring]
-	epoch   atomic.Int64 // bumped on every membership change
+	mu    sync.Mutex           // serializes membership changes
+	ring  atomic.Pointer[Ring] // the member set and its placement
+	epoch atomic.Int64         // bumped on every membership change
 
 	journal  *obs.Journal
 	healthMu sync.Mutex // guards health; obs.PeerHealth is not internally locked
@@ -105,16 +105,10 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		self:    cfg.Self,
-		members: map[string]bool{cfg.Self: true},
 		journal: cfg.Journal,
 		health:  map[string]*obs.PeerHealth{},
 	}
-	for _, p := range cfg.Peers {
-		if p != "" {
-			n.members[p] = true
-		}
-	}
-	n.rebuildRingLocked()
+	n.ring.Store(BuildRing(append([]string{cfg.Self}, cfg.Peers...)))
 	return n, nil
 }
 
@@ -141,46 +135,35 @@ func (n *Node) ReplicasOf(key string) []string {
 	return n.ring.Load().Replicas(key, 1+n.cfg.Replicas)
 }
 
-// rebuildRingLocked recomputes the ring from the member set; callers
-// hold n.mu (or are the constructor).
-func (n *Node) rebuildRingLocked() {
-	members := make([]string, 0, len(n.members))
-	for m := range n.members {
-		members = append(members, m)
-	}
-	n.ring.Store(BuildRing(members))
-}
-
 // AddMember adds url to the member set, reporting whether membership
 // changed.
 func (n *Node) AddMember(url string) bool {
-	if url == "" {
-		return false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.members[url] {
-		return false
-	}
-	n.members[url] = true
-	n.rebuildRingLocked()
-	epoch := n.epoch.Add(1)
-	n.journal.Record(obs.EventMembership, url, "joined epoch="+strconv.FormatInt(epoch, 10))
-	return true
+	return url != "" && n.setMember(url, true, "joined")
 }
 
 // RemoveMember removes url from the member set, reporting whether
 // membership changed.
 func (n *Node) RemoveMember(url string) bool {
+	return n.setMember(url, false, "left")
+}
+
+// setMember puts url in or out of the member set by building the next
+// ring from the current one, and journals the change as verb.
+func (n *Node) setMember(url string, in bool, verb string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.members[url] {
+	members := n.ring.Load().Members()
+	if slices.Contains(members, url) == in {
 		return false
 	}
-	delete(n.members, url)
-	n.rebuildRingLocked()
+	if in {
+		members = append(members, url)
+	} else {
+		members = slices.DeleteFunc(members, func(m string) bool { return m == url })
+	}
+	n.ring.Store(BuildRing(members))
 	epoch := n.epoch.Add(1)
-	n.journal.Record(obs.EventMembership, url, "left epoch="+strconv.FormatInt(epoch, 10))
+	n.journal.Record(obs.EventMembership, url, verb+" epoch="+strconv.FormatInt(epoch, 10))
 	return true
 }
 

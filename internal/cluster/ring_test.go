@@ -2,8 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/service"
 )
 
 func testKeys(n int) []string {
@@ -31,16 +36,64 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-func TestRingCoversAllMembers(t *testing.T) {
-	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := BuildRing(members)
-	owned := map[string]int{}
-	for _, k := range testKeys(1000) {
-		owned[r.Owner(k)]++
+// flightKeys draws n solve keys shaped like the cluster workload's
+// fresh points: arch 1-4, one conversation, a continuous server time.
+func flightKeys(t *testing.T, src *rng.Source, n int) []string {
+	t.Helper()
+	keys := make([]string, n)
+	for i := range keys {
+		k, err := service.SolveKey(1+src.Intn(4), 1, 1, 3000*src.Float64(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
 	}
-	for _, m := range members {
-		if owned[m] == 0 {
-			t.Errorf("member %s owns no keys out of 1000 (distribution %v)", m, owned)
+	return keys
+}
+
+// Every member owns an even share of the keyspace: over random loopback
+// member sets each share is within 15% of 1/n, and each fixed ring the
+// repository runs — ipcdbench's, the cluster golden test's and the
+// check.sh cluster smoke's — splits the keys about evenly.
+func TestRingSpread(t *testing.T) {
+	src := rng.New(21)
+	keys := flightKeys(t, src, 20000)
+	shares := func(members []string) map[string]float64 {
+		r := BuildRing(members)
+		owned := map[string]int{}
+		for _, k := range keys {
+			owned[r.Owner(k)]++
+		}
+		out := map[string]float64{}
+		for m, c := range owned {
+			out[m] = float64(c) / float64(len(keys))
+		}
+		return out
+	}
+	for trial := 0; trial < 100; trial++ {
+		var members []string
+		for n := 2 + src.Intn(7); len(members) < n; {
+			if m := fmt.Sprintf("http://127.0.0.1:%d", 1024+src.Intn(64512)); !slices.Contains(members, m) {
+				members = append(members, m)
+			}
+		}
+		got := shares(members)
+		for _, m := range members {
+			if dev := got[m]*float64(len(members)) - 1; math.Abs(dev) > 0.15 {
+				t.Errorf("members %v: %s owns %.3f, more than 15%% from 1/%d", members, m, got[m], len(members))
+			}
+		}
+	}
+	for _, members := range [][]string{
+		{"http://n1.bench", "http://n2.bench", "http://n3.bench"},
+		{"http://g0", "http://g1", "http://g2"},
+		{"http://127.0.0.1:18081", "http://127.0.0.1:18082", "http://127.0.0.1:18083"},
+	} {
+		got := shares(members)
+		for _, m := range members {
+			if got[m] < 0.30 || got[m] > 0.37 {
+				t.Errorf("fixed ring %v: %s owns %.3f, outside [0.30, 0.37]", members, m, got[m])
+			}
 		}
 	}
 }

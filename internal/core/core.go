@@ -93,7 +93,7 @@ type System struct {
 	seed  uint64
 	// c memoizes the canonical round trip C per locality (see
 	// roundTripC), Workload.NonLocal → float64. It is shared by
-	// pointer, so the copies MeasureMany makes of a System share it too.
+	// pointer, so the copies MeasureManyContext makes of a System share it too.
 	c *sync.Map
 }
 
@@ -324,22 +324,16 @@ func (s *System) Measure(w Workload, seconds int64) (Measurement, error) {
 	}, nil
 }
 
-// MeasureMany runs reps independent machine-level simulations of the
-// workload — each seeded from its own SplitMix64 stream derived from the
-// system seed by replication index — on up to workers concurrent
+// MeasureManyContext runs reps independent machine-level simulations of
+// the workload — each seeded from its own SplitMix64 stream derived from
+// the system seed by replication index — on up to workers concurrent
 // goroutines (0 means GOMAXPROCS), and averages the measures in
 // replication order. The result is bit-identical at any worker count,
 // extending the repository's single-stream determinism guarantee to a
-// parallel ensemble.
-func (s *System) MeasureMany(w Workload, seconds int64, reps, workers int) (Measurement, error) {
-	return s.MeasureManyContext(context.Background(), w, seconds, reps, workers)
-}
-
-// MeasureManyContext is MeasureMany with cancellation: the context is
-// polled before each replication starts, so a deadline bounds an
-// ensemble to the replications already in flight. (A single replication
-// runs to completion: the discrete-event engine itself is not
-// interruptible mid-run.)
+// parallel ensemble. The context is polled before each replication
+// starts, so a deadline bounds an ensemble to the replications already
+// in flight. (A single replication runs to completion: the
+// discrete-event engine itself is not interruptible mid-run.)
 func (s *System) MeasureManyContext(ctx context.Context, w Workload, seconds int64, reps, workers int) (Measurement, error) {
 	if err := ctx.Err(); err != nil {
 		return Measurement{}, err

@@ -112,45 +112,6 @@ func TestSnapshotSortedAndRenderDeterministic(t *testing.T) {
 	}
 }
 
-// The Prometheus rendering emits a TYPE line per family, sanitizes
-// dotted names, and is byte-stable.
-func TestWriteProm(t *testing.T) {
-	r := New()
-	r.Counter("bus.cmd.send_short").Add(4)
-	r.TimeAvg("res.node0.host0.busy").Set(0, 1)
-	samples := r.Snapshot(1000)
-	var buf bytes.Buffer
-	if err := WriteProm(&buf, "ipc_", samples); err != nil {
-		t.Fatal(err)
-	}
-	want := "# TYPE ipc_bus_cmd_send_short counter\n" +
-		"ipc_bus_cmd_send_short 4\n" +
-		"# TYPE ipc_res_node0_host0_busy gauge\n" +
-		"ipc_res_node0_host0_busy 1\n"
-	if buf.String() != want {
-		t.Fatalf("prometheus rendering:\n%s\nwant:\n%s", buf.String(), want)
-	}
-	var again bytes.Buffer
-	if err := WriteProm(&again, "ipc_", r.Snapshot(1000)); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != again.String() {
-		t.Fatal("two renderings of the same state differ")
-	}
-}
-
-func TestPromName(t *testing.T) {
-	for in, want := range map[string]string{
-		"bus.cmd.send_short": "bus_cmd_send_short",
-		"0weird":             "_0weird",
-		"a-b c":              "a_b_c",
-	} {
-		if got := PromName(in); got != want {
-			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // Updates through existing handles must not allocate — the hot-path
 // contract the DES instrumentation relies on.
 func TestUpdatesDoNotAllocate(t *testing.T) {

@@ -132,6 +132,3 @@ func (e *Engine) Run(until int64) int {
 	}
 	return n
 }
-
-// Idle reports whether the calendar is empty.
-func (e *Engine) Idle() bool { return len(e.events) == 0 }

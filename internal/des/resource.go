@@ -55,9 +55,6 @@ func (r *Resource) Name() string { return r.name }
 // Busy reports whether the server is occupied.
 func (r *Resource) Busy() bool { return r.busy }
 
-// QueueLen reports the number of waiting requests.
-func (r *Resource) QueueLen() int { return len(r.q) }
-
 // Acquire requests the server at the given priority; fn runs when the
 // server is granted. The holder must call Release when done (typically
 // from a scheduled completion event).
@@ -127,19 +124,6 @@ func (r *Resource) EmitSpan(name, cat string, start, dur int64) {
 		r.track = tr.Track(0, r.name)
 	}
 	tr.Emit(0, r.track, name, cat, start, dur)
-}
-
-// EmitInstant records a point event on this resource's track now; a
-// no-op without a tracer. Pass arg < 0 for no argument.
-func (r *Resource) EmitInstant(name, cat string, arg int64) {
-	tr := r.eng.tracer
-	if tr == nil {
-		return
-	}
-	if r.track == 0 {
-		r.track = tr.Track(0, r.name)
-	}
-	tr.Instant(0, r.track, name, cat, r.eng.Now(), arg)
 }
 
 // Release frees the server and grants it to the highest-priority waiter.

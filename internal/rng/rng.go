@@ -20,7 +20,13 @@ func New(seed uint64) *Source {
 // Uint64 returns the next 64 random bits.
 func (s *Source) Uint64() uint64 {
 	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+	return Mix(s.state)
+}
+
+// Mix is SplitMix64's finalizer: a bijection on 64-bit words whose every
+// output bit depends on every input bit, so inputs that differ in a few
+// bits map to unrelated words.
+func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

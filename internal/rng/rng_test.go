@@ -17,6 +17,20 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// Uint64 is SplitMix64: seed 0 gives the generator's published reference
+// sequence, and Mix is its finalizer applied to the advanced state.
+func TestSplitMix64Reference(t *testing.T) {
+	s := New(0)
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := s.Uint64(); got != want {
+			t.Fatalf("output %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if got := Mix(0x9E3779B97F4A7C15); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("Mix(gamma) = %#x, want the first output", got)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(7)
 	var sum float64

@@ -161,12 +161,3 @@ func prepare(p Params, horizon int64) *counters {
 	}
 	return &counters{warmup: w, horizonEnd: horizon}
 }
-
-// OfferedLoad reports C/(C+S) for a measured round-trip communication
-// time c (microseconds, zero-compute round trip) and mean server time s.
-func OfferedLoad(c, s float64) float64 {
-	if c+s <= 0 {
-		return 0
-	}
-	return c / (c + s)
-}

@@ -66,12 +66,3 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("runs differ: %+v vs %+v", a, b)
 	}
 }
-
-func TestOfferedLoadHelper(t *testing.T) {
-	if got := OfferedLoad(10, 10); got != 0.5 {
-		t.Fatalf("OfferedLoad = %v", got)
-	}
-	if got := OfferedLoad(0, 0); got != 0 {
-		t.Fatalf("OfferedLoad degenerate = %v", got)
-	}
-}
