@@ -394,7 +394,13 @@ go test -race -timeout 30m ./...
 GTPN_COVER_FLOOR=89
 SERVICE_COVER_FLOOR=88
 CLUSTER_COVER_FLOOR=84
-cover_out=$(go test -cover ./... | tee /dev/stderr)
+# The copy goes to stderr through the inherited descriptor: tee
+# /dev/stderr would reopen a redirected log by path and truncate it, and
+# a pipeline would hide go test's exit status (sh has no pipefail).
+cover_status=0
+cover_out=$(go test -cover ./...) || cover_status=$?
+printf '%s\n' "$cover_out" >&2
+test "$cover_status" -eq 0
 check_floor() {
     pkg=$1
     floor=$2

@@ -2,6 +2,7 @@ package gtpn
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -25,6 +26,29 @@ func TestSignatureStableAcrossBuilds(t *testing.T) {
 	}
 	if a == "" || a != b {
 		t.Fatalf("identical builds must sign identically:\n%q\n%q", a, b)
+	}
+}
+
+// A net signs itself on first use, so concurrent solves of one net may
+// be the first to ask: every caller must read the reference bytes.
+// Run it under -race.
+func TestSignatureConcurrentFirstUse(t *testing.T) {
+	n := twoPhase(5, 3)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- checkSignature(n)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // PlaceID identifies a place within a Net.
@@ -93,9 +94,12 @@ type Net struct {
 	firingOffset []int
 	firingLen    int
 
-	// sig is the canonical net signature computed at freeze time; sigOK
-	// reports whether every transition carried a frequency key. A frozen
-	// Net is immutable, so it may be solved and simulated concurrently.
+	// sigOnce computes both signatures on first use: an uncached solve
+	// never reads them. A frozen Net is otherwise immutable, so it may be
+	// solved and simulated concurrently.
+	sigOnce sync.Once
+	// sig is the canonical net signature; sigOK reports whether every
+	// transition carried a frequency key.
 	sig   string
 	sigOK bool
 	// shapeSig is the support-only analogue of sig (see ShapeSignature);
@@ -376,19 +380,18 @@ func (n *Net) freeze() {
 		}
 	}
 	n.firingLen = off
-	n.computeSignature()
 }
 
-// computeSignature canonicalizes the frozen net: places with initial
-// markings, then transitions with input/output multisets, delays,
-// resources, and frequency keys. Two nets built independently but
-// identically (the sweep-point and fixed-point case) produce equal
-// signatures, which is what the solve cache keys on. The bytes must be
-// what fmt prints for "p%q=%d;" per place and
-// "t%q:i%v:o%v:d%d:r%q:f%q;" per transition, appended here with strconv
-// because fmt dominated a fresh solve's CPU time: cache keys, and the
-// hit counts the goldens record, depend on them (the tests pin them to
-// referenceSignature).
+// computeSignature canonicalizes the frozen net, once, on the first
+// Signature or ShapeSignature call: places with initial markings, then
+// transitions with input/output multisets, delays, resources, and
+// frequency keys. Two nets built independently but identically (the
+// sweep-point and fixed-point case) produce equal signatures, which is
+// what the solve cache keys on. The bytes must be what fmt prints for
+// "p%q=%d;" per place and "t%q:i%v:o%v:d%d:r%q:f%q;" per transition,
+// appended here with strconv because fmt dominated a fresh solve's CPU
+// time: cache keys, and the hit counts the goldens record, depend on
+// them (the tests pin them to referenceSignature).
 func (n *Net) computeSignature() {
 	buf := make([]byte, 0, 64*(len(n.places)+len(n.trans)))
 	for _, p := range n.places {
@@ -455,6 +458,7 @@ func appendPlaceIDs(dst []byte, ids []PlaceID) []byte {
 // a net containing a transition with an opaque frequency function (no
 // FreqKey) has no signature and is never cached.
 func (n *Net) Signature() (string, bool) {
+	n.sigOnce.Do(n.computeSignature)
 	return n.sig, n.sigOK
 }
 
@@ -468,5 +472,6 @@ func (n *Net) Signature() (string, bool) {
 // engine's graph reuse. A net containing a transition without a shape
 // key has no shape signature and is never shape-matched.
 func (n *Net) ShapeSignature() (string, bool) {
+	n.sigOnce.Do(n.computeSignature)
 	return n.shapeSig, n.shapeOK
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -10,11 +11,18 @@ import (
 	"testing"
 )
 
-// FuzzSolveRequest drives the /v1/solve and /v1/sweep request decoders
-// with arbitrary bodies: decoding and validation must never panic, and
-// whatever validate accepts must satisfy the bounds the solver layers
-// rely on (they are what keeps a single request from detonating the
-// state space).
+// FuzzSolveRequest drives the production request decoder (decodeBody)
+// with arbitrary bodies for /v1/solve, /v1/simulate and /v1/sweep.
+// Decoding and validation must never panic. For the flat point bodies
+// it is a differential test against encoding/json, which decodeFlat
+// must never contradict: whenever decodeFlat accepts a body,
+// json.Decoder with unknown fields rejected accepts it into an equal
+// struct; decodeBody, through either decoder, accepts exactly what
+// json.Decoder accepts, into an equal struct and with json.Decoder's 400
+// text; and a validated request's canonicalBody, the bytes a forward
+// sends, takes decodeFlat back to the same struct. Whatever validate
+// accepts must satisfy the bounds the solver layers rely on (they are
+// what keeps a single request from detonating the state space).
 func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(solveBody))
 	f.Add([]byte(sweepBody))
@@ -24,26 +32,61 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"arch":2,"points":[{"conversations":1,"server_compute_us":-1}]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"unknown_field":1}`))
+	for _, seed := range []string{
+		// Every client's spelling: a forward's canonicalBody, ipcload's
+		// simulate body, a full simulate body.
+		`{"arch":2,"conversations":1,"hosts":1,"non_local":false,"server_compute_us":1140}` + "\n",
+		`{"arch":3,"conversations":2,"server_compute_us":570,"non_local":true,"seconds":2,"seed":42}`,
+		`{"arch":1,"conversations":8,"hosts":2,"non_local":true,"replications":3,"seconds":600,"seed":18446744073709551615,"server_compute_us":2850.5}`,
+		// The edges of decodeFlat's subset, on both sides.
+		`{"arch":-0,"conversations":1,"server_compute_us":-0}`,
+		`{"arch":1.0,"conversations":1}`,
+		`{"arch":2,"conversations":1e2}`,
+		`{"arch":2,"conversations":1,"hosts":9223372036854775808}`,
+		`{"arch":2,"conversations":1,"seed":-1}`,
+		`{"arch":2,"conversations":1,"seed":-0}`,
+		`{"arch":2,"conversations":1,"server_compute_us":1e309}`,
+		`{"arch":2,"conversations":1,"server_compute_us":0x1p3}`,
+		`{"arch":2,"conversations":1,"server_compute_us":01}`,
+		`{"ARCH":2,"conversations":1}`,
+		`{"arch":"2","conversations":1}`,
+		`{"ar\u0063h":2,"conversations":1}`,
+		`{"arch":null,"conversations":1,"non_local":null}`,
+		`null`,
+		`{"arch":1,"arch":2,"conversations":3,"conversations":1,"non_local":true,"non_local":false}`,
+		`{"arch":2,"conversations":1} trailing`,
+		`{"arch":2,"conversations":1,"nested":{"nonlocal":true}}`,
+		`{"nonlocal":true}`,
+		`{}`,
+		" \t\r\n{ \"arch\" :\t2 ,\n\"conversations\"\r: 1 , \"non_local\" : true } \n",
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(Config{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sq solveRequest
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sq); err == nil {
-			if err := sq.validate(); err == nil {
-				if sq.Arch < 1 || sq.Arch > 4 || sq.Conversations < 1 || sq.Conversations > 8 ||
-					sq.Hosts < 1 || sq.Hosts > 4 || sq.ServerComputeUS < 0 || sq.ServerComputeUS > 1e7 {
-					t.Fatalf("validate accepted out-of-bounds solve request: %+v", sq)
-				}
-				if k := sq.appendKey(nil); len(k) > keyBufLen {
-					t.Fatalf("flight key %q outgrows the %d-byte stack buffer", k, keyBufLen)
-				}
+		if len(data) > maxBodyBytes {
+			return // decodeBody refuses it unread; json.Decoder has no limit
+		}
+		if sq, ok := checkPointDecode[solveRequest](t, s, "solve", data); ok {
+			if sq.Arch < 1 || sq.Arch > 4 || sq.Conversations < 1 || sq.Conversations > 8 ||
+				sq.Hosts < 1 || sq.Hosts > 4 || sq.ServerComputeUS < 0 || sq.ServerComputeUS > 1e7 {
+				t.Fatalf("validate accepted out-of-bounds solve request: %+v", sq)
+			}
+			if k := sq.appendKey(nil); len(k) > keyBufLen {
+				t.Fatalf("flight key %q outgrows the %d-byte stack buffer", k, keyBufLen)
+			}
+		}
+		if mq, ok := checkPointDecode[simulateRequest](t, s, "simulate", data); ok {
+			if mq.Seconds < 1 || mq.Seconds > 600 || mq.Seed == 0 || mq.Replications < 1 || mq.Replications > 64 {
+				t.Fatalf("validate accepted out-of-bounds simulate request: %+v", mq)
+			}
+			if k := mq.appendKey(nil); len(k) > keyBufLen {
+				t.Fatalf("flight key %q outgrows the %d-byte stack buffer", k, keyBufLen)
 			}
 		}
 
 		var wq sweepRequest
-		dec = json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&wq); err != nil {
+		if !decodeRoute(s, "sweep", data, &wq, httptest.NewRecorder()) {
 			return
 		}
 		if err := wq.validate(); err != nil {
@@ -73,6 +116,60 @@ func FuzzSolveRequest(f *testing.F) {
 			t.Fatalf("rows() covered %d of %d points", next, len(wq.Points))
 		}
 	})
+}
+
+// decodeRoute decodes body into q through the production decoder, as
+// route's handler does, answering a refusal on w.
+func decodeRoute(s *Server, route string, body []byte, q any, w http.ResponseWriter) bool {
+	return s.decodeBody(w, httptest.NewRequest(http.MethodPost, "/v1/"+route, bytes.NewReader(body)), q)
+}
+
+// pointRequest is a flat point request type, as decodeFlat takes it.
+type pointRequest[T any] interface {
+	*T
+	validate() error
+	canonicalBody() []byte
+}
+
+// sameRequest compares two decoded requests field by field, telling
+// -0 from 0 (== does not).
+func sameRequest(a, b any) bool { return fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b) }
+
+// checkPointDecode holds decodeFlat, decodeBody and the reference
+// json.Decoder to one answer for data as a route's body. It returns the
+// decoded request and whether it decoded and validated.
+func checkPointDecode[T any, P pointRequest[T]](t *testing.T, s *Server, route string, data []byte) (T, bool) {
+	t.Helper()
+	var ref T
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	refErr := dec.Decode(P(&ref))
+
+	var fast T
+	if decodeFlat(data, P(&fast)) && (refErr != nil || !sameRequest(fast, ref)) {
+		t.Fatalf("%s body %q: decodeFlat decoded %+v, encoding/json %+v (err %v)", route, data, fast, ref, refErr)
+	}
+
+	var got T
+	rec := httptest.NewRecorder()
+	ok := decodeRoute(s, route, data, P(&got), rec)
+	switch {
+	case ok != (refErr == nil):
+		t.Fatalf("%s body %q: decodeBody ok=%v, encoding/json err %v", route, data, ok, refErr)
+	case ok && !sameRequest(got, ref):
+		t.Fatalf("%s body %q: decodeBody decoded %+v, encoding/json %+v", route, data, got, ref)
+	case !ok && rec.Body.String() != string(marshalDet(map[string]any{"error": "bad request body: " + refErr.Error()})):
+		t.Fatalf("%s body %q: decodeBody answered %s, encoding/json's error is %v", route, data, rec.Body.Bytes(), refErr)
+	}
+	if !ok || P(&got).validate() != nil {
+		return got, false
+	}
+	canonical := P(&got).canonicalBody()
+	var again T
+	if !decodeFlat(canonical, P(&again)) || !sameRequest(again, got) {
+		t.Fatalf("%s body %q: canonical body %q decodes through decodeFlat to %+v, want %+v", route, data, canonical, again, got)
+	}
+	return got, true
 }
 
 // FuzzClusterMerge feeds arbitrary member bodies — a peer's body is

@@ -1,12 +1,13 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -23,33 +24,23 @@ type keyedRequest struct {
 	canonical string
 }
 
-// decodeKeyed decodes body the way the routes do (unknown fields
-// rejected), validates it, and derives both identities.
-func decodeKeyed(t *testing.T, body string, simulate bool) keyedRequest {
+// decodeKeyed decodes body the way the routes do, through s's
+// production decoder, validates it, and derives both identities.
+func decodeKeyed(t *testing.T, s *Server, body string, simulate bool) keyedRequest {
 	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader([]byte(body)))
-	dec.DisallowUnknownFields()
-	var key, canonical []byte
+	var q interface {
+		validate() error
+		appendKey([]byte) []byte
+		canonicalBody() []byte
+	} = new(solveRequest)
 	if simulate {
-		var q simulateRequest
-		if err := dec.Decode(&q); err != nil {
-			t.Fatalf("decode %s: %v", body, err)
-		}
-		if err := q.validate(); err != nil {
-			t.Fatalf("validate %s: %v", body, err)
-		}
-		key, canonical = q.appendKey(nil), q.canonicalBody()
-	} else {
-		var q solveRequest
-		if err := dec.Decode(&q); err != nil {
-			t.Fatalf("decode %s: %v", body, err)
-		}
-		if err := q.validate(); err != nil {
-			t.Fatalf("validate %s: %v", body, err)
-		}
-		key, canonical = q.appendKey(nil), q.canonicalBody()
+		q = new(simulateRequest)
 	}
-	return keyedRequest{src: body, key: string(key), canonical: string(canonical)}
+	rec := httptest.NewRecorder()
+	if !s.decodeValid(rec, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body)), q) {
+		t.Fatalf("decode %s: %d %s", body, rec.Code, rec.Body.Bytes())
+	}
+	return keyedRequest{src: body, key: string(q.appendKey(nil)), canonical: string(q.canonicalBody())}
 }
 
 // checkKeyIdentity asserts key equality ⇔ canonical-body equality over
@@ -113,9 +104,10 @@ func TestFlightKeyIdentityNearCollisions(t *testing.T) {
 		simulate bool
 	}{{"solve", solve, false}, {"simulate", sim, true}} {
 		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
 			var reqs []keyedRequest
 			for _, b := range tc.bodies {
-				reqs = append(reqs, decodeKeyed(t, b, tc.simulate))
+				reqs = append(reqs, decodeKeyed(t, s, b, tc.simulate))
 			}
 			checkKeyIdentity(t, reqs)
 			// The table holds both kinds of pair: spellings of one point
@@ -218,12 +210,13 @@ func (p randomPoint) spell(rng *rand.Rand, simulate bool) string {
 // joined by a neighbour that differs in one field.
 func TestFlightKeyIdentityRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 1987))
+	s := New(Config{})
 	for _, simulate := range []bool{false, true} {
 		var reqs []keyedRequest
 		for i := 0; i < 1000; i++ {
 			p := drawPoint(rng)
 			for _, q := range []randomPoint{p, p, p.neighbour(rng, simulate)} {
-				reqs = append(reqs, decodeKeyed(t, q.spell(rng, simulate), simulate))
+				reqs = append(reqs, decodeKeyed(t, s, q.spell(rng, simulate), simulate))
 			}
 		}
 		checkKeyIdentity(t, reqs)
@@ -237,7 +230,7 @@ func TestSolveKeyMatchesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := decodeKeyed(t, solveBody, false).key; got != want || got != "solve|a=2|n=1|h=1|x=1140|nl=false" {
+	if want := decodeKeyed(t, New(Config{}), solveBody, false).key; got != want || got != "solve|a=2|n=1|h=1|x=1140|nl=false" {
 		t.Fatalf("SolveKey = %q, route key %q", got, want)
 	}
 	for _, bad := range [][5]float64{{0, 1, 1, 1140}, {2, 9, 1, 1140}, {2, 1, 5, 1140}, {2, 1, 1, -1}, {2, 1, 1, 1e7 + 1}} {

@@ -17,8 +17,9 @@ var (
 
 // Every body README.md's curl examples send to /v1/solve, /v1/simulate
 // or /v1/sweep must pass that route's strict decoder and validation: a
-// documented command that answers 400 is a broken example. Nothing is
-// computed.
+// documented command that answers 400 is a broken example. A documented
+// solve or simulate body must also be in decodeFlat's subset, as every
+// client's is. Nothing is computed.
 func TestREADMERequestBodies(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
@@ -54,6 +55,9 @@ func TestREADMERequestBodies(t *testing.T) {
 		rec := httptest.NewRecorder()
 		if !s.decodeValid(rec, req, q) {
 			t.Errorf("README body for /v1/%s answers %d %s: %s", route[1], rec.Code, strings.TrimSpace(rec.Body.String()), body[1])
+		}
+		if route[1] != "sweep" && !decodeFlat([]byte(body[1]), q) {
+			t.Errorf("README body for /v1/%s is outside decodeFlat's subset: %s", route[1], body[1])
 		}
 	}
 	for _, route := range []string{"solve", "simulate", "sweep"} {

@@ -63,8 +63,8 @@ type Config struct {
 	NodeName string
 	// AccessLog, when non-nil, receives one structured record per
 	// completed request, carrying the request ID. Nil (the default)
-	// disables access logging and keeps the untraced serving fast path
-	// allocation-free.
+	// disables access logging, and the untraced fast path then pays
+	// nothing for it.
 	AccessLog *slog.Logger
 	// Cluster, when non-nil, makes this server one node of a
 	// consistent-hash cluster: solve/simulate computations whose key
@@ -636,9 +636,9 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 }
 
 // decodeState is the pooled per-request decode scratch: the body bytes
-// and a resettable reader the JSON decoder consumes them through.
-// (json.Decoder itself has no Reset, so the decoder is the one small
-// allocation the decode path keeps.)
+// and a resettable reader encoding/json consumes them through when a
+// body falls back to it. (json.Decoder itself has no Reset, so a
+// fallback allocates its decoder.)
 type decodeState struct {
 	buf []byte
 	rd  bytes.Reader
@@ -684,16 +684,18 @@ func readBounded(dst []byte, r io.Reader, max int64) ([]byte, error) {
 }
 
 // decodeBody decodes a JSON request body with a size limit, through
-// pooled read buffers. Decoder semantics are preserved exactly (one
-// value decoded, unknown fields rejected, trailing bytes tolerated).
-// The body is read through EOF, which is when net/http starts watching
-// the connection: a sweep relies on it to have a client disconnect
-// cancel its in-flight solve.
+// pooled read buffers. A flat point body in the canonical subset takes
+// decodeFlat; every other body, and every body into another type, takes
+// json.Decoder with unknown fields rejected (one value decoded,
+// trailing bytes tolerated), which stays the reference semantics and
+// the only source of a 400's text. The body is read through EOF, which
+// is when net/http starts watching the connection: a sweep relies on it
+// to have a client disconnect cancel its in-flight solve.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	ds := decodePool.Get().(*decodeState)
 	buf, err := readBounded(ds.buf[:0], r.Body, maxBodyBytes)
 	ds.buf = buf
-	if err == nil {
+	if err == nil && !decodeFlat(buf, into) {
 		ds.rd.Reset(buf)
 		dec := json.NewDecoder(&ds.rd)
 		dec.DisallowUnknownFields()
@@ -717,6 +719,18 @@ type solveRequest struct {
 	ServerComputeUS float64 `json:"server_compute_us"`
 	Hosts           int     `json:"hosts"`
 	NonLocal        bool    `json:"non_local"`
+}
+
+// flatFields is the request's field table for decodeFlat: each JSON
+// name with its destination in q, in f[:n].
+func (q *solveRequest) flatFields() (f flatTable, n int) {
+	return flatTable{
+		{"arch", &q.Arch},
+		{"conversations", &q.Conversations},
+		{"server_compute_us", &q.ServerComputeUS},
+		{"hosts", &q.Hosts},
+		{"non_local", &q.NonLocal},
+	}, 5
 }
 
 // The largest architecture and host count a request may name.
@@ -873,10 +887,11 @@ func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface
 	return true
 }
 
-// serveCached is the zero-allocation fast path: it answers from the
-// response cache when key holds a locally computed body, or peer bytes
-// the cluster tier lets this node serve (ServeHeld: it does not own the
-// key), which count as a cluster-served replica hit. The key is the
+// serveCached is the fast path: it answers from the response cache when
+// key holds a locally computed body, or peer bytes the cluster tier
+// lets this node serve (ServeHeld: it does not own the key), which
+// count as a cluster-served replica hit. Its one allocation is the
+// Content-Type header's value slice (Header.Set). The key is the
 // caller's stack bytes; the router is asked with the entry's own
 // string, so the stack buffer never escapes through the interface call.
 // Traced requests take the full path: a sampled trace exists to show
@@ -933,6 +948,15 @@ type simulateRequest struct {
 	Seconds      int64  `json:"seconds"`
 	Seed         uint64 `json:"seed"`
 	Replications int    `json:"replications"`
+}
+
+// flatFields is the solve fields' table plus the ensemble's fields.
+func (q *simulateRequest) flatFields() (f flatTable, n int) {
+	f, n = q.solveRequest.flatFields()
+	f[n] = flatField{"seconds", &q.Seconds}
+	f[n+1] = flatField{"seed", &q.Seed}
+	f[n+2] = flatField{"replications", &q.Replications}
+	return f, n + 3
 }
 
 func (q *simulateRequest) validate() error {

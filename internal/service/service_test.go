@@ -125,6 +125,76 @@ func TestEndpointsServe(t *testing.T) {
 	}
 }
 
+// TestRequestBodyAnswers pins what the compute routes answer for
+// bodies that validate refuses and for bodies at the edge of
+// decodeFlat's subset: each 400 body byte for byte (encoding/json's text
+// wherever it refuses the body), and the 200s that only encoding/json
+// takes — case-folded keys, null, trailing bytes — each byte-identical
+// to the answer for the same point spelled in the subset. flat records
+// whether decodeFlat takes the body itself.
+func TestRequestBodyAnswers(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, tc := range []struct {
+		route, body string
+		flat        bool
+		code        int
+		// want is the 400's error text, or the body whose 200 this one's
+		// bytes must equal.
+		want string
+	}{
+		{"solve", `{"nonlocal":true}`, false, 400, `bad request body: json: unknown field "nonlocal"`},
+		{"solve", `{"arch":2,"conversations":1,"seconds":1}`, false, 400, `bad request body: json: unknown field "seconds"`},
+		{"solve", `{"arch":2,"conversations":1,"nested":{"nonlocal":true}}`, false, 400, `bad request body: json: unknown field "nested"`},
+		{"solve", `{"arch":1.0,"conversations":1}`, false, 400, "bad request body: json: cannot unmarshal number 1.0 into Go struct field solveRequest.arch of type int"},
+		{"solve", `{"arch":2,"conversations":1e2}`, false, 400, "bad request body: json: cannot unmarshal number 1e2 into Go struct field solveRequest.conversations of type int"},
+		{"solve", `{"arch":9223372036854775808,"conversations":1}`, false, 400, "bad request body: json: cannot unmarshal number 9223372036854775808 into Go struct field solveRequest.arch of type int"},
+		{"solve", `{"arch":2,"conversations":1,"server_compute_us":1e309}`, false, 400, "bad request body: json: cannot unmarshal number 1e309 into Go struct field solveRequest.server_compute_us of type float64"},
+		{"solve", `{"arch":2,"conversations":1,"server_compute_us":0x1p3}`, false, 400, "bad request body: invalid character 'x' after object key:value pair"},
+		{"solve", `{"arch":2,"conversations":1,"server_compute_us":01}`, false, 400, "bad request body: invalid character '1' after object key:value pair"},
+		{"solve", `{"arch":"2","conversations":1}`, false, 400, "bad request body: json: cannot unmarshal string into Go struct field solveRequest.arch of type int"},
+		{"solve", `{"arch":2,"conversations":1,"non_local":"true"}`, false, 400, "bad request body: json: cannot unmarshal string into Go struct field solveRequest.non_local of type bool"},
+		{"solve", `{"arch":2,"conversations":1,}`, false, 400, "bad request body: invalid character '}' looking for beginning of object key string"},
+		{"solve", ``, false, 400, "bad request body: EOF"},
+		{"solve", `null`, false, 400, "arch must be 1..4"},
+		{"solve", `{}`, true, 400, "arch must be 1..4"},
+		{"solve", `{"arch":2,"conversations":9}`, true, 400, "conversations must be 1..8"},
+		{"solve", `{"arch":2,"conversations":1,"server_compute_us":-1}`, true, 400, "server_compute_us must be in [0, 1e7]"},
+		{"simulate", `{"arch":2,"conversations":1,"seed":-1}`, false, 400, "bad request body: json: cannot unmarshal number -1 into Go struct field simulateRequest.seed of type uint64"},
+		{"simulate", `{"arch":2,"conversations":1,"seed":-0}`, false, 400, "bad request body: json: cannot unmarshal number -0 into Go struct field simulateRequest.seed of type uint64"},
+		{"simulate", `{"arch":2,"conversations":1,"seconds":1.5}`, false, 400, "bad request body: json: cannot unmarshal number 1.5 into Go struct field simulateRequest.seconds of type int64"},
+		{"simulate", `{"arch":2,"conversations":1,"replicas":2}`, false, 400, `bad request body: json: unknown field "replicas"`},
+		{"simulate", `{"arch":2,"conversations":1,"seconds":601}`, true, 400, "seconds must be 1..600"},
+		{"sweep", `{"arch":2,"points":[]}`, false, 400, "points must not be empty"},
+		{"sweep", `{"arch":9,"points":[{"conversations":1}]}`, false, 400, "point 0: arch must be 1..4"},
+		{"sweep", `{"arch":2,"points":[{"conversations":0}]}`, false, 400, "point 0: conversations must be 1..8"},
+		{"sweep", `{"arch":2,"parallelism":5,"points":[{"conversations":1}]}`, false, 400, "parallelism must be 1..4"},
+		{"sweep", `{"arch":2,"points":[{"conversations":1,"server_compute_us":-1}]}`, false, 400, "point 0: server_compute_us must be in [0, 1e7]"},
+		{"sweep", `{"arch":2,"points":[{"conversations":1,"nonlocal":true}]}`, false, 400, `bad request body: json: unknown field "nonlocal"`},
+		{"solve", `{"ARCH":2,"conversations":1}`, false, 200, `{"arch":2,"conversations":1}`},
+		{"solve", `{"arch":2,"Conversations":1,"server_compute_us":null,"non_local":null}`, false, 200, `{"arch":2,"conversations":1}`},
+		{"solve", `{"arch":2,"conversations":1} trailing`, false, 200, `{"arch":2,"conversations":1}`},
+		{"solve", `{"arch":1,"arch":2,"conversations":3,"conversations":1}`, true, 200, `{"arch":2,"conversations":1}`},
+		{"solve", " \t\r\n{ \"arch\" :\t2 ,\n\"conversations\"\r: 1 } \n", true, 200, `{"arch":2,"conversations":1}`},
+		{"simulate", `{"ARCH":2,"conversations":1,"seconds":1,"Seed":7}`, false, 200, `{"arch":2,"conversations":1,"seconds":1,"seed":7}`},
+	} {
+		code, _, body := post(t, ts.URL+"/v1/"+tc.route, tc.body)
+		want := marshalDet(map[string]any{"error": tc.want})
+		if tc.code == http.StatusOK {
+			_, _, want = post(t, ts.URL+"/v1/"+tc.route, tc.want)
+		}
+		if code != tc.code || !bytes.Equal(body, want) {
+			t.Errorf("/v1/%s %q answered %d %s, want %d %s", tc.route, tc.body, code, body, tc.code, want)
+		}
+		var q any = new(solveRequest)
+		if tc.route == "simulate" {
+			q = new(simulateRequest)
+		}
+		if flat := tc.route != "sweep" && decodeFlat([]byte(tc.body), q); flat != tc.flat {
+			t.Errorf("/v1/%s %q: decodeFlat took it %v, want %v", tc.route, tc.body, flat, tc.flat)
+		}
+	}
+}
+
 // TestDeterministicResponses pins the byte-determinism contract: the
 // same request, repeated, yields byte-identical bodies — for the
 // analytic path, the seeded simulation path, and the experiment path.

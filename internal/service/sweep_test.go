@@ -151,22 +151,6 @@ func TestSweepParallelismByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepValidation: malformed grids are refused up front.
-func TestSweepValidation(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	for _, bad := range []string{
-		`{"arch":2,"points":[]}`,
-		`{"arch":9,"points":[{"conversations":1}]}`,
-		`{"arch":2,"points":[{"conversations":0}]}`,
-		`{"arch":2,"parallelism":5,"points":[{"conversations":1}]}`,
-		`{"arch":2,"points":[{"conversations":1,"server_compute_us":-1}]}`,
-	} {
-		if code, _, body := postStream(t, ts.URL+"/v1/sweep", bad); code != http.StatusBadRequest {
-			t.Fatalf("request %s: got %d %s, want 400", bad, code, body)
-		}
-	}
-}
-
 // TestSweepRowsSolveIndependently: two concurrent identical sweeps
 // share no solve. Each row solves its own chain on its own analyzer, so
 // the first sweep to finish point 0 can wait there until the other has
