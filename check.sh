@@ -56,6 +56,7 @@ trap remove_check_tmp EXIT
 fuzz_smoke() {
     for target in \
         ./internal/gtpn:FuzzParseNet \
+        ./internal/gtpn:FuzzDenseClassSolve \
         ./internal/service:FuzzSolveRequest \
         ./internal/service:FuzzClusterMerge \
         ./internal/service:FuzzRequestID \

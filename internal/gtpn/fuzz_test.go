@@ -1,6 +1,7 @@
 package gtpn
 
 import (
+	"math"
 	"testing"
 )
 
@@ -74,6 +75,93 @@ trans TFlow : Q -> P P delay 1 freq 3/4 when Q > 0
 		if len(n.places) != len(n2.places) || len(n.trans) != len(n2.trans) {
 			t.Fatalf("re-parse dimensions differ: %d/%d places, %d/%d transitions",
 				len(n.places), len(n2.places), len(n.trans), len(n2.trans))
+		}
+	})
+}
+
+// fuzzClassMatrix builds a column-stochastic class restriction P^T from
+// fuzz bytes: data[0] picks m in [2, 24], then each following byte is
+// one entry, column by column (the out-distribution of state k is
+// column k). An even byte is an exact zero, an odd byte b the weight
+// b>>1 + 1; each column is normalized by its sum, and a column with no
+// weight becomes a self-loop. Missing bytes are zeros. The matrix comes
+// back twice: as the reference's rows of width m+1 and as the flat
+// row-major copy the production kernel takes.
+func fuzzClassMatrix(data []byte) (rows [][]float64, flat []float64, m int) {
+	if len(data) == 0 {
+		return nil, nil, 0
+	}
+	m = 2 + int(data[0])%23
+	data = data[1:]
+	w := m + 1
+	rows = make([][]float64, m)
+	for r := range rows {
+		rows[r] = make([]float64, w)
+	}
+	for k := 0; k < m; k++ {
+		var sum float64
+		for r := 0; r < m; r++ {
+			var v float64
+			if i := k*m + r; i < len(data) && data[i]&1 == 1 {
+				v = float64(data[i]>>1) + 1
+			}
+			rows[r][k] = v
+			sum += v
+		}
+		if sum == 0 {
+			rows[k][k] = 1
+			continue
+		}
+		for r := 0; r < m; r++ {
+			rows[r][k] /= sum
+		}
+	}
+	flat = make([]float64, m*w)
+	for r, row := range rows {
+		copy(flat[r*w:], row)
+	}
+	return rows, flat, m
+}
+
+// FuzzDenseClassSolve holds the production dense kernel
+// (gaussJordanStationary) against the reference's row-slice loop
+// (gaussianStationary) on arbitrary column-stochastic classes: both
+// must give up together, or agree on every bit of every entry. The
+// seeds take each way out of the kernel: a singular class (every state
+// a self-loop: nil at the pivot test), a dense positive class, and a
+// sparse class (a cycle with a few chords).
+func FuzzDenseClassSolve(f *testing.F) {
+	f.Add([]byte{3})
+	dense := []byte{9}
+	for i := 0; i < 121; i++ {
+		dense = append(dense, byte(2*i+1))
+	}
+	f.Add(dense)
+	const sm = 17
+	sparse := make([]byte, 1+sm*sm)
+	sparse[0] = sm - 2
+	for k := 0; k < sm; k++ {
+		sparse[1+k*sm+(k+1)%sm] = 7
+		if k%4 == 0 {
+			sparse[1+k*sm+(k+5)%sm] = 3
+		}
+	}
+	f.Add(sparse)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, flat, m := fuzzClassMatrix(data)
+		if m == 0 {
+			return
+		}
+		want := gaussianStationary(rows, m)
+		got := gaussJordanStationary(flat, m)
+		if (want == nil) != (got == nil) {
+			t.Fatalf("m=%d: reference nil=%v, kernel nil=%v", m, want == nil, got == nil)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("m=%d: pi[%d] = %v (%#x), reference %v (%#x)",
+					m, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+			}
 		}
 	})
 }

@@ -613,6 +613,66 @@ func refDenseClassSolve(states []*stateRec, members []int, idx map[int]int) []fl
 	return gaussianStationary(a, m)
 }
 
+// gaussianStationary finishes the reference dense class solve: a
+// arrives holding the column-stochastic restriction P^T of the class;
+// the routine forms the balance system (P^T - I, with the last equation
+// replaced by normalization), runs partial-pivot Gauss-Jordan
+// elimination, and extracts pi. Returns nil on numerical failure. It is
+// the plain row-slice loop the goldens were recorded under; production's
+// flat kernel (gaussJordanStationary, stationary.go) must match it bit
+// for bit.
+func gaussianStationary(a [][]float64, m int) []float64 {
+	for k := 0; k < m; k++ {
+		a[k][k] -= 1
+	}
+	for k := 0; k < m; k++ {
+		a[m-1][k] = 1
+	}
+	a[m-1][m] = 1
+
+	for col := 0; col < m; col++ {
+		piv := col
+		for r := col + 1; r < m; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
+				piv = r
+			}
+		}
+		if math.Abs(a[piv][col]) < 1e-14 {
+			return nil
+		}
+		a[col], a[piv] = a[piv], a[col]
+		inv := 1 / a[col][col]
+		for r := 0; r < m; r++ {
+			if r == col || a[r][col] == 0 {
+				continue
+			}
+			f := a[r][col] * inv
+			for c := col; c <= m; c++ {
+				a[r][c] -= f * a[col][c]
+			}
+		}
+	}
+	pi := make([]float64, m)
+	var tot float64
+	for k := 0; k < m; k++ {
+		pi[k] = a[k][m] / a[k][k]
+		if pi[k] < 0 && pi[k] > -1e-9 {
+			pi[k] = 0
+		}
+		if pi[k] < 0 {
+			return nil
+		}
+		tot += pi[k]
+	}
+	if tot <= 0 {
+		return nil
+	}
+	for k := range pi {
+		pi[k] /= tot
+	}
+	return pi
+}
+
 // refMeasures converts the stationary distribution into time-averaged
 // observables over the reference layout.
 func (n *Net) refMeasures(states []*stateRec, pi []float64, converged bool, residual float64) *Solution {

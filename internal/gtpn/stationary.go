@@ -328,12 +328,14 @@ func warmClassStart(start []float64, totalStates int, members []int) []float64 {
 
 // classStationary solves pi = pi P restricted to one terminal class
 // (irreducible by construction). Small classes are solved directly;
-// larger ones by Gauss-Seidel from a uniform start (or the caller's
-// StationaryStart restriction — see SolveOptions) with a damped power
-// iteration fallback. The incoming edges of the class are gathered into
-// a local CSR (inPtr/inFrom/inP) in the same order the reference path
-// appended them, so the sweep accumulations are bit-identical. local is
-// the shared state→class-index array described in solveStationary.
+// larger ones, and small ones the direct solve gives up on, by
+// Gauss-Seidel from a uniform start (or the caller's StationaryStart
+// restriction — see SolveOptions) with a damped power iteration
+// fallback. Only Gauss-Seidel reads the class's incoming edges, so they
+// are gathered into a local CSR (inPtr/inFrom/inP) only once the direct
+// solve gives up, in the order the reference path appended them, which
+// keeps the sweep accumulations bit-identical. local is the shared
+// state→class-index array described in solveStationary.
 func classStationary(ctx context.Context, g *graph, comp []int, class int, members []int, local []int32, opts SolveOptions) (pi []float64, converged bool, residual float64, err error) {
 	m := len(members)
 	if m == 1 {
@@ -342,6 +344,12 @@ func classStationary(ctx context.Context, g *graph, comp []int, class int, membe
 	for k, i := range members {
 		local[i] = int32(k)
 	}
+	if m <= denseClassLimit {
+		if pi := denseClassSolve(g, comp, class, members, local); pi != nil {
+			return pi, true, 0, nil
+		}
+	}
+
 	// Two-pass incoming-edge CSR: count, prefix-sum, fill. The fill
 	// visits members in ascending class index and each row in edge
 	// order, matching the reference path's append order.
@@ -380,12 +388,6 @@ func classStationary(ctx context.Context, g *graph, comp []int, class int, membe
 				inP[pos] = g.prob[e]
 				cursor[kj]++
 			}
-		}
-	}
-
-	if m <= denseClassLimit {
-		if pi := denseClassSolve(g, comp, class, members, local); pi != nil {
-			return pi, true, 0, nil
 		}
 	}
 
@@ -448,67 +450,117 @@ func classStationary(ctx context.Context, g *graph, comp []int, class int, membe
 	return pi, false, resid(), nil
 }
 
-// denseClassSolve solves the balance equations of one class by Gaussian
-// elimination; returns nil on numerical failure.
+// denseClassSolve solves the balance equations of one class by
+// Gauss-Jordan elimination; returns nil on numerical failure. The class
+// restriction P^T is laid out as one flat row-major m×(m+1) matrix: row
+// kj, column k accumulates the edges k → kj in the order the reference
+// path adds them.
 func denseClassSolve(g *graph, comp []int, class int, members []int, local []int32) []float64 {
 	m := len(members)
-	a := make([][]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m+1)
-	}
+	w := m + 1
+	a := make([]float64, m*w)
 	for k, i := range members {
 		for e := g.rowPtr[i]; e < g.rowPtr[i+1]; e++ {
 			j := int(g.succ[e])
 			if comp[j] != class {
 				continue
 			}
-			a[local[j]][k] += g.prob[e]
+			a[int(local[j])*w+k] += g.prob[e]
 		}
 	}
-	return gaussianStationary(a, m)
+	return gaussJordanStationary(a, m)
 }
 
-// gaussianStationary finishes the dense class solve shared by the CSR
-// and reference paths: a arrives holding the column-stochastic
-// restriction P^T of the class; the routine forms the balance system
-// (P^T - I, with the last equation replaced by normalization), runs
-// partial-pivot Gauss-Jordan elimination, and extracts pi. Returns nil
-// on numerical failure.
-func gaussianStationary(a [][]float64, m int) []float64 {
-	for k := 0; k < m; k++ {
-		a[k][k] -= 1
+// gaussJordanStationary is the dense kernel of the production solve: a
+// holds the column-stochastic class restriction P^T as m rows of width
+// m+1, flat and row-major. It forms the balance system (P^T - I, with
+// the last equation replaced by normalization), runs partial-pivot
+// Gauss-Jordan elimination and extracts pi, or returns nil on numerical
+// failure — the same computation as the reference's gaussianStationary,
+// and bit-identical to it, because every element sees the same
+// floating-point operations in the same order:
+//
+//   - The pivot is the first row r >= col with the strictly largest
+//     |a[r][col]|, and a pivot below 1e-14 in magnitude returns nil.
+//   - A row swap exchanges two entries of row, the logical row → offset
+//     map; no data moves.
+//   - inv = 1 / pivot and f = a[r][col] * inv; a row with a[r][col] == 0
+//     is skipped.
+//   - Every updated element is x -= f * p, written in exactly that form,
+//     so both kernels round alike wherever the compiler fuses.
+//   - Extraction, the -1e-9 clamp, the negative → nil rule and the
+//     normalization are the reference's.
+//
+// What differs cannot change a bit. A step reads only the pivot row and
+// never writes it, so its target rows may be grouped and visited in any
+// order: they are updated two per pass over the pivot row, so each
+// pivot element is loaded once for two updates. A target row's own
+// column col is not written:
+// nothing reads it again, since later steps touch only columns > col
+// and extraction reads only a[k][k] and a[k][m], and row k's diagonal
+// is final once row k has been the pivot.
+func gaussJordanStationary(a []float64, m int) []float64 {
+	w := m + 1
+	row := make([]int, m)
+	for k := range row {
+		row[k] = k * w
+		a[k*w+k] -= 1
 	}
-	for k := 0; k < m; k++ {
-		a[m-1][k] = 1
+	last := a[(m-1)*w : m*w]
+	for k := range last {
+		last[k] = 1
 	}
-	a[m-1][m] = 1
 
 	for col := 0; col < m; col++ {
 		piv := col
+		best := math.Abs(a[row[col]+col])
 		for r := col + 1; r < m; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
+			if v := math.Abs(a[row[r]+col]); v > best {
+				piv, best = r, v
 			}
 		}
-		if math.Abs(a[piv][col]) < 1e-14 {
+		if best < 1e-14 {
 			return nil
 		}
-		a[col], a[piv] = a[piv], a[col]
-		inv := 1 / a[col][col]
+		row[col], row[piv] = row[piv], row[col]
+		po := row[col]
+		inv := 1 / a[po+col]
+		p := a[po+col+1 : po+w]
+
+		held, fh := -1, 0.0 // a target row waiting for its pair
 		for r := 0; r < m; r++ {
-			if r == col || a[r][col] == 0 {
+			o := row[r]
+			if r == col || a[o+col] == 0 {
 				continue
 			}
-			f := a[r][col] * inv
-			for c := col; c <= m; c++ {
-				a[r][c] -= f * a[col][c]
+			f := a[o+col] * inv
+			if held < 0 {
+				held, fh = o, f
+				continue
+			}
+			x := a[held+col+1 : held+w]
+			y := a[o+col+1 : o+w]
+			x, y = x[:len(p)], y[:len(p)]
+			for c, pc := range p {
+				x[c] -= fh * pc
+				y[c] -= f * pc
+			}
+			held = -1
+		}
+		if held >= 0 {
+			x := a[held+col+1 : held+w]
+			x = x[:len(p)]
+			for c, pc := range p {
+				x[c] -= fh * pc
 			}
 		}
 	}
+
 	pi := make([]float64, m)
 	var tot float64
 	for k := 0; k < m; k++ {
-		pi[k] = a[k][m] / a[k][k]
+		o := row[k]
+		pi[k] = a[o+m] / a[o+k]
 		if pi[k] < 0 && pi[k] > -1e-9 {
 			pi[k] = 0
 		}

@@ -478,9 +478,16 @@ func (s *Server) writeTrace(rec *trace.Recorder, seq int64, route string) {
 	_ = os.WriteFile(filepath.Join(s.cfg.TraceDir, name), buf.Bytes(), 0o644)
 }
 
+// jsonContentType is every deterministic response's Content-Type value,
+// shared so that no response builds one (Header.Set would). Nothing
+// writes into it: net/http copies header values when the status is
+// written (WriteHeader clones the Header), Set replaces a value, and
+// Add appends past the slice's capacity of 1.
+var jsonContentType = []string{"application/json"}
+
 // writeDet writes a deterministic JSON response.
 func writeDet(w http.ResponseWriter, status int, header map[string]string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	for k, v := range header {
 		w.Header().Set(k, v)
 	}
@@ -890,8 +897,8 @@ func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface
 // serveCached is the fast path: it answers from the response cache when
 // key holds a locally computed body, or peer bytes the cluster tier
 // lets this node serve (ServeHeld: it does not own the key), which
-// count as a cluster-served replica hit. Its one allocation is the
-// Content-Type header's value slice (Header.Set). The key is the
+// count as a cluster-served replica hit. It allocates nothing: the
+// Content-Type value is the shared jsonContentType. The key is the
 // caller's stack bytes; the router is asked with the entry's own
 // string, so the stack buffer never escapes through the interface call.
 // Traced requests take the full path: a sampled trace exists to show
