@@ -887,8 +887,8 @@ func TestClusterHeldHitAllocsMatchSingleNode(t *testing.T) {
 	if st := node.Stats(); st.ReplicaHits != 201 || st.ForwardsOut != 0 {
 		t.Fatalf("held hit: stats %+v, want 201 replica hits and no forwards", st)
 	}
-	if heldAllocs != singleAllocs {
-		t.Fatalf("non-owner held-bytes hit allocates %v per request through Node.Handler, single-node hit %v; want equal",
+	if heldAllocs != singleAllocs || heldAllocs != 0 {
+		t.Fatalf("non-owner held-bytes hit allocates %v per request through Node.Handler, single-node hit %v; want 0 for both",
 			heldAllocs, singleAllocs)
 	}
 }

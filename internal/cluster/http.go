@@ -25,10 +25,10 @@ import (
 // Handler serves the cluster endpoints beside the bound server's own
 // handler. Serve this on the cluster listener (or the main one when the
 // two are shared). Only /cluster/ paths reach the control mux, whose
-// "/" fallback passes any path it does not match on to the service mux.
-// Every other request — client traffic and forwarded /v1/* alike — goes
-// straight to the service mux, so it pays one pattern match, as on a
-// single node.
+// "/" fallback passes any path it does not match on to the service's
+// handler. Every other request — client traffic and forwarded /v1/*
+// alike — goes straight to the service's handler, so it is dispatched
+// as on a single node.
 func (n *Node) Handler() http.Handler {
 	if n.local == nil {
 		panic("cluster: Handler called before Bind")

@@ -114,7 +114,7 @@ type ClusterRouter interface {
 // request when the hop budget is spent. It reports the parsed count and
 // whether the request was rejected (the response has been written).
 func (s *Server) checkHops(w http.ResponseWriter, r *http.Request) (hops int, rejected bool) {
-	h := r.Header.Get(HopsHeader)
+	h := headerValue(r.Header, HopsHeader)
 	if h == "" {
 		return 0, false
 	}

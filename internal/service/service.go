@@ -132,8 +132,10 @@ const (
 type Server struct {
 	cfg        Config
 	mux        *http.ServeMux
-	slots      chan struct{} // worker pool: a token per running computation
-	admitted   atomic.Int64  // computations running or queued for a slot
+	posts      []literalRoute // the POST routes, which Handler dispatches ahead of mux
+	handler    http.Handler   // Handler's value: dispatch
+	slots      chan struct{}  // worker pool: a token per running computation
+	admitted   atomic.Int64   // computations running or queued for a slot
 	draining   atomic.Bool
 	flights    flightGroup
 	metrics    *metrics
@@ -194,20 +196,62 @@ func New(cfg Config) *Server {
 	}
 	s.slots = make(chan struct{}, s.cfg.Workers)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/solve", s.instrument("solve", false, s.handleSolve))
-	s.mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", false, s.handleSweep))
-	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", false, s.handleSimulate))
-	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", false, s.handleExperimentList))
-	s.mux.HandleFunc("GET /v1/experiments/{id}", s.instrument("experiment", false, s.handleExperiment))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", true, s.handleHealthz))
+	s.handle(http.MethodPost, "/v1/solve", "solve", false, s.handleSolve)
+	s.handle(http.MethodPost, "/v1/sweep", "sweep", false, s.handleSweep)
+	s.handle(http.MethodPost, "/v1/simulate", "simulate", false, s.handleSimulate)
+	s.handle(http.MethodGet, "/v1/experiments", "experiments", false, s.handleExperimentList)
+	s.handle(http.MethodGet, "/v1/experiments/{id}", "experiment", false, s.handleExperiment)
+	s.handle(http.MethodGet, "/healthz", "healthz", true, s.handleHealthz)
 	for _, o := range obsRoutes {
-		s.mux.HandleFunc("GET "+o.path, s.instrument(o.name, true, s.serveObs(o)))
+		s.handle(http.MethodGet, o.path, o.name, true, s.serveObs(o))
 	}
+	s.handler = http.HandlerFunc(s.dispatch)
 	return s
 }
 
-// Handler is the HTTP entry point.
-func (s *Server) Handler() http.Handler { return s.mux }
+// literalRoute is a POST route's path and its instrumented handler.
+type literalRoute struct {
+	path string
+	h    http.HandlerFunc
+}
+
+// handle registers route's instrumented handler on the mux under the
+// pattern "method path". A POST route, whose path must be literal (no
+// wildcard, no trailing slash), also enters the table dispatch serves
+// ahead of the mux, so the one list of routes is this call's.
+func (s *Server) handle(method, path, route string, isObs bool, h http.HandlerFunc) {
+	ih := s.instrument(route, isObs, h)
+	s.mux.HandleFunc(method+" "+path, ih)
+	if method == http.MethodPost {
+		if strings.ContainsRune(path, '{') || strings.HasSuffix(path, "/") {
+			panic("service: POST route " + path + " is not a literal path")
+		}
+		s.posts = append(s.posts, literalRoute{path, ih})
+	}
+}
+
+// Handler is the HTTP entry point: dispatch.
+func (s *Server) Handler() http.Handler { return s.handler }
+
+// dispatch sends a POST whose URL.Path is exactly a POST route's path,
+// with no escaped form (URL.RawPath empty), straight to that route's
+// instrumented handler, and every other request to the ServeMux, which
+// keeps 404, 405 with Allow, the clean-path and trailing-slash
+// redirects, HEAD, and /v1/experiments/{id}. For a request dispatched
+// here the mux would pick the same handler, without a redirect; the one
+// difference is that the mux would set Request.Pattern, which nothing
+// reads. A compute request thus skips the mux's pattern walk.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && r.URL.RawPath == "" {
+		for i := range s.posts {
+			if s.posts[i].path == r.URL.Path {
+				s.posts[i].h(w, r)
+				return
+			}
+		}
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // BeginDrain stops admitting new work: every subsequent request except
 // /healthz and the observability routes is refused with 503 and
@@ -313,7 +357,7 @@ func (s *Server) instrument(route string, isObs bool, h http.HandlerFunc) http.H
 			// hop even when it is not tracing.
 			w.Header().Set(RequestIDHeader, sw.rec.id.Raw)
 		}
-		if r.Header.Get(TraceHeader) != "" && remoteTraceable(route) && sw.rec.id.Raw != "" {
+		if headerValue(r.Header, TraceHeader) != "" && remoteTraceable(route) && sw.rec.id.Raw != "" {
 			s.serveRemoteTraced(sw, r, route, h)
 		} else if rec, seq := s.sampleTrace(isObs); rec != nil {
 			rec.RegisterProcess(0, s.cfg.NodeName)
@@ -379,7 +423,7 @@ func validInheritedID(raw string) bool {
 // own sequence so health polls and scrapes never perturb the
 // compute-route numbering.
 func (s *Server) mintID(r *http.Request, isObs bool) RequestID {
-	if raw := r.Header.Get(RequestIDHeader); validInheritedID(raw) {
+	if raw := headerValue(r.Header, RequestIDHeader); validInheritedID(raw) {
 		return RequestID{Raw: raw}
 	}
 	if isObs {
@@ -388,14 +432,45 @@ func (s *Server) mintID(r *http.Request, isObs bool) RequestID {
 	return RequestID{Node: s.cfg.NodeName, Seq: s.reqSeq.Add(1)}
 }
 
+// headerValue returns the first value of an incoming request's header
+// key, which must be canonical. net/http canonicalizes the keys of the
+// headers it reads, so the map is indexed directly: Header.Get would
+// canonicalize the constant key again on every request.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
+// accessPC is the PC every access record carries, a PC inside
+// logAccess, taken on the first record: a handler with AddSource names
+// one fixed line of logAccess.
+var accessPC atomic.Uintptr
+
 // logAccess emits one structured access-log record for a completed
-// request. Off (nil logger) it costs a nil check.
+// request. Off (nil logger) it costs a nil check. It builds the record
+// as Logger.LogAttrs would, except for the PC: LogAttrs walks the stack
+// for every record to find its caller, while logAccess's PC is fixed.
 func (s *Server) logAccess(rec *requestRecord) {
 	lg := s.cfg.AccessLog
 	if lg == nil {
 		return
 	}
-	lg.LogAttrs(context.Background(), slog.LevelInfo, "access",
+	ctx := context.Background()
+	h := lg.Handler()
+	if !h.Enabled(ctx, slog.LevelInfo) {
+		return
+	}
+	pc := accessPC.Load()
+	if pc == 0 {
+		var pcs [1]uintptr
+		runtime.Callers(1, pcs[:])
+		pc = pcs[0]
+		accessPC.Store(pc)
+	}
+	r := slog.NewRecord(time.Now(), slog.LevelInfo, "access", pc)
+	r.AddAttrs(
 		slog.String("id", rec.id.String()),
 		slog.String("route", rec.route),
 		slog.Int("status", rec.status),
@@ -408,6 +483,7 @@ func (s *Server) logAccess(rec *requestRecord) {
 		slog.Int64("compute_us", rec.computeUS),
 		slog.Int64("total_us", rec.totalUS),
 	)
+	_ = h.Handle(ctx, r)
 }
 
 // remoteTraceable reports whether a route may serve a remote-traced hop
@@ -690,23 +766,22 @@ func readBounded(dst []byte, r io.Reader, max int64) ([]byte, error) {
 	}
 }
 
-// decodeBody decodes a JSON request body with a size limit, through
-// pooled read buffers. A flat point body in the canonical subset takes
-// decodeFlat; every other body, and every body into another type, takes
-// json.Decoder with unknown fields rejected (one value decoded,
-// trailing bytes tolerated), which stays the reference semantics and
-// the only source of a 400's text. The body is read through EOF, which
-// is when net/http starts watching the connection: a sweep relies on it
-// to have a client disconnect cancel its in-flight solve.
+// decodeBody decodes a JSON request body into into, a *solveRequest,
+// *simulateRequest or *sweepRequest, with a size limit, through pooled
+// read buffers. A flat point body in the canonical subset takes
+// decodeFlat; every other body, and every sweep body, takes
+// decodeJSON, which stays the reference semantics and the only source
+// of a 400's text. into does not escape: a point route's request stays
+// in its handler's stack frame. The body is read through EOF, which is
+// when net/http starts watching the connection: a sweep relies on it to
+// have a client disconnect cancel its in-flight solve.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	ds := decodePool.Get().(*decodeState)
 	buf, err := readBounded(ds.buf[:0], r.Body, maxBodyBytes)
 	ds.buf = buf
 	if err == nil && !decodeFlat(buf, into) {
 		ds.rd.Reset(buf)
-		dec := json.NewDecoder(&ds.rd)
-		dec.DisallowUnknownFields()
-		err = dec.Decode(into)
+		err = decodeJSON(&ds.rd, into)
 	}
 	if cap(ds.buf) <= maxPooledDecodeBuf {
 		decodePool.Put(ds)
@@ -716,6 +791,51 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 		return false
 	}
 	return true
+}
+
+// decodeJSON and validateRequest reach a request through its concrete
+// type: handed on as an interface, to encoding/json or to a validate
+// method, it would move to the heap.
+
+// decodeJSON decodes one JSON value from rd into q, a *solveRequest,
+// *simulateRequest or *sweepRequest, with unknown fields rejected (one
+// value decoded, trailing bytes tolerated).
+func decodeJSON(rd io.Reader, q any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	switch q := q.(type) {
+	case *solveRequest:
+		return decodeCopy(dec, q)
+	case *simulateRequest:
+		return decodeCopy(dec, q)
+	case *sweepRequest:
+		return decodeCopy(dec, q)
+	}
+	panic("service: decode into an unknown request type")
+}
+
+// decodeCopy decodes into a heap copy of *q and copies the result back,
+// whether or not decoding succeeded, as a decode into q would leave it.
+func decodeCopy[T any](dec *json.Decoder, q *T) error {
+	c := new(T)
+	*c = *q
+	err := dec.Decode(c)
+	*q = *c
+	return err
+}
+
+// validateRequest validates q, a *solveRequest, *simulateRequest or
+// *sweepRequest.
+func validateRequest(q any) error {
+	switch q := q.(type) {
+	case *solveRequest:
+		return q.validate()
+	case *simulateRequest:
+		return q.validate()
+	case *sweepRequest:
+		return q.validate()
+	}
+	panic("service: validate an unknown request type")
 }
 
 // solveRequest is the body of POST /v1/solve: one architecture I-IV plus
@@ -887,7 +1007,7 @@ func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface
 	if !decoded {
 		return false
 	}
-	if err := q.validate(); err != nil {
+	if err := validateRequest(q); err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error(), nil)
 		return false
 	}
