@@ -348,7 +348,8 @@ func allNsOnly(regs []regression) bool {
 
 // compareSnapshots judges cur against base: every baseline benchmark
 // must still exist, its ns/op (unless skipNs) and allocs/op must not
-// have grown by more than tol relative, and every current benchmark
+// have grown by more than tol relative (allocs/op not at all from a
+// baseline of 0), and every current benchmark
 // must be present in the baseline — a brand-new benchmark fails the
 // comparison until the snapshot is refreshed, so the gate can never
 // silently skip an entry it has no baseline for. Improvements never
@@ -382,7 +383,14 @@ func compareSnapshots(base, cur snapshot, tol float64, skipNs bool) []regression
 				b.Pkg, b.Name, b.NsPerOp, c.NsPerOp,
 				(c.NsPerOp/b.NsPerOp-1)*100, tol*100)})
 		}
-		if b.AllocsPerOp > 0 && c.AllocsPerOp > b.AllocsPerOp*(1+tol) {
+		switch {
+		case b.AllocsPerOp == 0 && c.AllocsPerOp > 0:
+			// A baseline that allocates nothing is a floor: no relative
+			// tolerance of zero admits an allocation.
+			regressions = append(regressions, regression{msg: fmt.Sprintf(
+				"%s %s: allocs/op 0 -> %g (the baseline allocates nothing)",
+				b.Pkg, b.Name, c.AllocsPerOp)})
+		case b.AllocsPerOp > 0 && c.AllocsPerOp > b.AllocsPerOp*(1+tol):
 			regressions = append(regressions, regression{msg: fmt.Sprintf(
 				"%s %s: allocs/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
 				b.Pkg, b.Name, b.AllocsPerOp, c.AllocsPerOp,

@@ -79,6 +79,19 @@ func TestCompareSnapshots(t *testing.T) {
 		}
 	})
 
+	t.Run("allocs from a zero floor", func(t *testing.T) {
+		// No relative tolerance admits a first allocation on a path the
+		// baseline pins at zero.
+		zero := snap("go1.24.0", bench("BenchmarkA", 1000, 0))
+		if regs := compareSnapshots(zero, snap("go1.24.0", bench("BenchmarkA", 1000, 0)), 0.25, true); len(regs) != 0 {
+			t.Fatalf("zero stayed zero, got %v", regs)
+		}
+		regs := compareSnapshots(zero, snap("go1.24.0", bench("BenchmarkA", 1000, 1)), 0.25, true)
+		if len(regs) != 1 || !strings.Contains(regs[0].msg, "allocs/op 0 -> 1") || regs[0].nsOnly {
+			t.Fatalf("want one non-retryable allocs/op regression from 0, got %v", regs)
+		}
+	})
+
 	t.Run("skipNs suppresses ns only", func(t *testing.T) {
 		cur := snap("go1.25.0",
 			bench("BenchmarkA", 9000, 60), // ns ignored, allocs still judged

@@ -150,6 +150,10 @@ type Server struct {
 	traceSeq   atomic.Int64 // computing requests seen, for trace sampling
 	reqSeq     atomic.Int64 // request IDs minted on compute routes
 	obsSeq     atomic.Int64 // request IDs minted on observability routes
+	// accessPC is the PC every access record carries, a PC inside
+	// logAccess taken on the first record, so that a handler with
+	// AddSource names one fixed line of logAccess.
+	accessPC atomic.Uintptr
 
 	// systems holds one core.System per validated (arch, hosts), at
 	// [arch-1][hosts-1], for /v1/solve and the /v1/sweep rows, so each
@@ -216,16 +220,13 @@ type literalRoute struct {
 }
 
 // handle registers route's instrumented handler on the mux under the
-// pattern "method path". A POST route, whose path must be literal (no
-// wildcard, no trailing slash), also enters the table dispatch serves
-// ahead of the mux, so the one list of routes is this call's.
+// pattern "method path". A POST route also enters the table dispatch
+// serves ahead of the mux, so its path must be literal: no wildcard and
+// no trailing slash. The routes are listed once, in these calls.
 func (s *Server) handle(method, path, route string, isObs bool, h http.HandlerFunc) {
 	ih := s.instrument(route, isObs, h)
 	s.mux.HandleFunc(method+" "+path, ih)
 	if method == http.MethodPost {
-		if strings.ContainsRune(path, '{') || strings.HasSuffix(path, "/") {
-			panic("service: POST route " + path + " is not a literal path")
-		}
 		s.posts = append(s.posts, literalRoute{path, ih})
 	}
 }
@@ -443,11 +444,6 @@ func headerValue(h http.Header, key string) string {
 	return ""
 }
 
-// accessPC is the PC every access record carries, a PC inside
-// logAccess, taken on the first record: a handler with AddSource names
-// one fixed line of logAccess.
-var accessPC atomic.Uintptr
-
 // logAccess emits one structured access-log record for a completed
 // request. Off (nil logger) it costs a nil check. It builds the record
 // as Logger.LogAttrs would, except for the PC: LogAttrs walks the stack
@@ -462,12 +458,12 @@ func (s *Server) logAccess(rec *requestRecord) {
 	if !h.Enabled(ctx, slog.LevelInfo) {
 		return
 	}
-	pc := accessPC.Load()
+	pc := s.accessPC.Load()
 	if pc == 0 {
 		var pcs [1]uintptr
 		runtime.Callers(1, pcs[:])
 		pc = pcs[0]
-		accessPC.Store(pc)
+		s.accessPC.Store(pc)
 	}
 	r := slog.NewRecord(time.Now(), slog.LevelInfo, "access", pc)
 	r.AddAttrs(
@@ -483,6 +479,8 @@ func (s *Server) logAccess(rec *requestRecord) {
 		slog.Int64("compute_us", rec.computeUS),
 		slog.Int64("total_us", rec.totalUS),
 	)
+	// As in LogAttrs, a handler's error is dropped: the response is
+	// already written, and a lost record must not fail the request.
 	_ = h.Handle(ctx, r)
 }
 
