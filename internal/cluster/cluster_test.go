@@ -841,11 +841,11 @@ func (w *countingRW) Header() http.Header         { return w.h }
 func (w *countingRW) Write(p []byte) (int, error) { w.body = p; return len(p), nil }
 func (w *countingRW) WriteHeader(code int)        { w.status = code }
 
-// A non-owner's held-bytes hit costs what a single node's hit costs:
-// the service's fast path serves the peer bytes after one owner check,
-// and Node.Handler hands a non-/cluster/ request straight to the
-// service mux. Both sides are driven in process through one replayed
-// request, so only the serving path allocates.
+// A non-owner's held-bytes hit costs what a single node's hit costs,
+// no allocation: the service's fast path serves the peer bytes after
+// one owner check, and Node.Handler hands a non-/cluster/ request
+// straight to the service's handler. Both sides are driven in process
+// through one replayed request, so only the serving path allocates.
 func TestClusterHeldHitAllocsMatchSingleNode(t *testing.T) {
 	const owner = "http://owner.invalid"
 	node, err := New(Config{Self: "http://self.invalid", Peers: []string{owner}, Replicas: -1})
