@@ -285,6 +285,21 @@ EOF
     # (c) The cluster-merged request ring records the routing decision.
     curl -fsS "http://127.0.0.1:$forwarder/debug/requests?scope=cluster" |
         grep -q '"decision":"forwarded"'
+    # (d) A trace never reroutes a request: with every request traced,
+    # the fleet computed the point once, and a traced repeat through each
+    # node, shaped like a peer's forward (an inherited request ID and
+    # X-Ipcd-Trace), is a cache hit on every node.
+    cluster_leaders() {
+        curl -fsS "http://127.0.0.1:18101/metrics?scope=cluster" |
+            grep -o '"totals":{[^}]*}' | grep -o '"leaders":[0-9]*'
+    }
+    test "$(cluster_leaders)" = '"leaders":1'
+    for port in 18101 18102 18103; do
+        curl -fsS -X POST -H 'Content-Type: application/json' \
+            -H 'X-Ipcd-Request-Id: obsv-1' -H 'X-Ipcd-Trace: 1' -d "$solve_body" \
+            "http://127.0.0.1:$port/v1/solve" >/dev/null
+    done
+    test "$(cluster_leaders)" = '"leaders":1'
     # The load client's machine-readable summary stays parseable.
     go run ./cmd/ipcload -json -addr "http://127.0.0.1:18101" -c 2 -duration 1s |
         grep -q '"digest":"'

@@ -81,15 +81,35 @@ func freeAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// SIGTERM drains the cluster listener too: a computation running there
-// when the signal lands answers 200, and ipcd exits 0 only after it.
+// SIGTERM drains every listener: a computation running on a single
+// node's main listener, or on a cluster node's cluster listener, when
+// the signal lands answers 200, and ipcd exits 0 only after it.
 func TestDrainFinishesClusterListenerRequest(t *testing.T) {
-	addr, caddr := freeAddr(t), freeAddr(t)
-	self := "http://" + caddr
+	for _, tc := range []struct {
+		name    string
+		cluster bool
+	}{{"main-listener", false}, {"cluster-listener", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := freeAddr(t)
+			args := []string{"-addr", addr, "-history-every", "0", "-drain", "60s"}
+			base := "http://" + addr
+			if tc.cluster {
+				caddr := freeAddr(t)
+				base = "http://" + caddr
+				args = append(args, "-cluster-listen", caddr, "-cluster-self", base, "-peers", base, "-probe-every", "0")
+			}
+			drainAcrossSIGTERM(t, args, base)
+		})
+	}
+}
+
+// drainAcrossSIGTERM starts ipcd with args, holds a simulation in
+// flight through base, sends SIGTERM, and requires the simulation's 200
+// and ipcd's exit 0.
+func drainAcrossSIGTERM(t *testing.T, args []string, base string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", addr, "-cluster-listen", caddr,
-		"-cluster-self", self, "-peers", self, "-probe-every", "0", "-history-every", "0", "-drain", "60s")
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runAsIpcd+"=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -99,7 +119,7 @@ func TestDrainFinishesClusterListenerRequest(t *testing.T) {
 	exited := make(chan error, 1)
 	go func() { exited <- cmd.Wait() }()
 	get := func(path string) (string, bool) {
-		resp, err := http.Get(self + path)
+		resp, err := http.Get(base + path)
 		if err != nil {
 			return "", false
 		}
@@ -120,7 +140,7 @@ func TestDrainFinishesClusterListenerRequest(t *testing.T) {
 			}
 		}
 	}
-	await("the cluster listener served /healthz", func() bool { _, ok := get("/healthz"); return ok })
+	await("the listener served /healthz", func() bool { _, ok := get("/healthz"); return ok })
 
 	type answer struct {
 		status int
@@ -129,7 +149,7 @@ func TestDrainFinishesClusterListenerRequest(t *testing.T) {
 	}
 	answered := make(chan answer, 1)
 	go func() {
-		resp, err := http.Post(self+"/v1/simulate", "application/json", strings.NewReader(
+		resp, err := http.Post(base+"/v1/simulate", "application/json", strings.NewReader(
 			`{"arch":2,"conversations":4,"server_compute_us":1140,"seconds":120,"replications":2}`))
 		if err != nil {
 			answered <- answer{err: err}

@@ -893,10 +893,10 @@ func TestClusterHeldHitAllocsMatchSingleNode(t *testing.T) {
 	}
 }
 
-// A traced request skips the fast path, so held peer bytes reach it
-// through Route, which applies the same owner check: a non-owner's
-// traced repeat is a replica hit, with no second forward and no compute.
-func TestClusterTracedRepeatServesHeldBytesThroughRoute(t *testing.T) {
+// A trace never reroutes a request: with every request traced, a
+// non-owner's repeat is a fast-path replica hit on the bytes its forward
+// kept, so the fleet makes one forward and one compute, at the owner.
+func TestClusterTracedRepeatIsFastPathReplicaHit(t *testing.T) {
 	ref := newReferenceServer(t)
 	tc := newTestCluster(t, 3, func(_ int, ccfg *Config, scfg *service.Config) {
 		ccfg.Replicas = -1 // the held bytes come from the forward alone
@@ -911,14 +911,23 @@ func TestClusterTracedRepeatServesHeldBytesThroughRoute(t *testing.T) {
 			t.Fatalf("traced solve %d diverges:\n got: %s\nwant: %s", i, got, want)
 		}
 	}
+	var forwards, leaders int64
+	for i, n := range tc.nodes {
+		forwards += n.Stats().ForwardsOut
+		l, _, _ := servingCounters(t, tc.srvs[i])
+		leaders += l
+	}
+	if forwards != 1 || leaders != 1 {
+		t.Fatalf("fleet forwards=%d leaders=%d, want 1 and 1 (the owner's compute)", forwards, leaders)
+	}
 	if st := tc.nodes[other].Stats(); st.ForwardsOut != 1 || st.ReplicaHits != 1 {
 		t.Fatalf("stats = %+v, want one forward, then one replica hit", st)
 	}
 	if leaders, _, served := servingCounters(t, tc.srvs[other]); leaders != 0 || served != 2 {
 		t.Fatalf("leaders=%d cluster_served=%d, want 0 and 2", leaders, served)
 	}
-	if rc := tc.srvs[other].RespCache().Stats(); rc.TraceBypass != 2 || rc.Hits != 1 || rc.Misses != 0 {
-		t.Fatalf("resp_cache = %+v, want 2 trace bypasses and Route's one hit", rc)
+	if rc := tc.srvs[other].RespCache().Stats(); rc.Hits != 1 || rc.Misses != 1 {
+		t.Fatalf("resp_cache = %+v, want the first request's miss and the repeat's hit", rc)
 	}
 	rows := fetchRequests(t, tc.urls[other], "").Requests
 	if len(rows) != 2 || rows[0].Decision != service.DecisionForwarded || rows[1].Decision != service.DecisionReplicaHit {
@@ -944,8 +953,8 @@ func TestClusterNewOwnerComputesOverHeldBytes(t *testing.T) {
 	if got := mustSolve(t, tc.urls[heir], p.body(), ""); !bytes.Equal(got, want) {
 		t.Fatalf("forwarded answer diverges:\n got: %s\nwant: %s", got, want)
 	}
-	if body, ok := tc.srvs[heir].RespCache().GetKey(key); !ok || !bytes.Equal(body, want) {
-		t.Fatalf("heir holds no peer bytes after its forward: ok=%v body=%s", ok, body)
+	if rc := tc.srvs[heir].RespCache().Stats(); rc.Entries != 1 || rc.Stores != 1 {
+		t.Fatalf("heir resp_cache = %+v after its forward, want the owner's answer held", rc)
 	}
 
 	for _, n := range tc.nodes {
@@ -1007,8 +1016,8 @@ func TestClusterReplicaPushServesUnifiedCache(t *testing.T) {
 	})
 
 	// The pushed entry lives in the serving tier's own cache.
-	if body, ok := tc.srvs[replica].RespCache().GetKey(p.key(t)); !ok || !bytes.Equal(body, want) {
-		t.Fatalf("unified cache entry missing or wrong: ok=%v body=%s", ok, body)
+	if rc := tc.srvs[replica].RespCache().Stats(); rc.Entries != 1 || rc.Stores != 1 {
+		t.Fatalf("replica resp_cache = %+v, want the pushed entry", rc)
 	}
 
 	// A request through the replica serves the pushed bytes: no solve.
@@ -1022,10 +1031,9 @@ func TestClusterReplicaPushServesUnifiedCache(t *testing.T) {
 	if st.ReplicaHits != 1 || st.ForwardsOut != 0 {
 		t.Fatalf("replica stats = %+v, want 1 replica hit and no forwards", st)
 	}
-	// Both the direct GetKey above and the served request counted as
-	// response-cache hits.
-	if rc := tc.srvs[replica].RespCache().Stats(); rc.Hits < 2 {
-		t.Fatalf("resp_cache hits = %d, want >= 2", rc.Hits)
+	// The served request counted as a response-cache hit.
+	if rc := tc.srvs[replica].RespCache().Stats(); rc.Hits != 1 || rc.Misses != 0 {
+		t.Fatalf("resp_cache = %+v, want 1 hit and no miss", rc)
 	}
 }
 
@@ -1101,7 +1109,7 @@ func TestClusterForwardOverLimitFallsBack(t *testing.T) {
 		if st := node.Stats(); st.ForwardFallback != wantFallback {
 			t.Fatalf("%d-byte answer: forward_fallback = %d, want %d", c.size, st.ForwardFallback, wantFallback)
 		}
-		if _, held := srv.RespCache().GetKey(p.key(t)); held != c.served {
+		if held := srv.RespCache().Stats().Entries == 1; held != c.served {
 			t.Fatalf("%d-byte answer: held = %v, want %v", c.size, held, c.served)
 		}
 	}

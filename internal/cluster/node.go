@@ -66,9 +66,9 @@ const controlTimeout = 5 * time.Second
 
 // Local is the node's own serving core — implemented by
 // *service.Server. The node serves its handler beside the cluster
-// endpoints and stores/serves peer bytes (replica pushes and kept
-// forward answers) through its preencoded-response cache — one cache
-// for both the local fast path and the cluster tier.
+// endpoints and stores peer bytes (replica pushes and kept forward
+// answers) in its preencoded-response cache, which the service's fast
+// path serves them from — one cache for both tiers.
 type Local interface {
 	Handler() http.Handler
 	RespCache() *service.RespCache
@@ -237,21 +237,18 @@ func (n *Node) ServeHeld(key string) bool {
 }
 
 // Route implements service.ClusterRouter: serve spec from the cluster
-// when another member owns its key — held peer bytes first (a traced
-// request skips the fast path that serves them otherwise), then a
-// forward to the owner, whose answer this node keeps. ok=false sends
-// the caller to local compute, which is always byte-equivalent (the
-// determinism contract).
+// when another member owns its key, by a forward to the owner, whose
+// answer this node keeps for its fast path. Held peer bytes are the
+// fast path's alone to serve, so Route never looks in the cache: a
+// request reaches it after the fast path found nothing it could serve,
+// and bytes that arrive between that lookup and the request's flight
+// cost it one byte-identical forward. ok=false sends the caller to
+// local compute, which is always byte-equivalent (the determinism
+// contract).
 func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.RoutedResult, bool) {
 	owner, computes := n.owner(spec.Key)
 	if computes {
 		return service.RoutedResult{}, false
-	}
-	if body, ok := n.local.RespCache().GetKey(spec.Key); ok {
-		n.counts[cReplicaHits].Add(1)
-		trace.ScopeFrom(ctx).Instant("respcache.replica_hit", "cluster")
-		return service.RoutedResult{Status: http.StatusOK, Body: body,
-			Decision: service.DecisionReplicaHit}, true
 	}
 	if spec.Hops+1 >= service.MaxHops {
 		// A forwarded request for a key we don't own: the sender's ring
@@ -286,9 +283,9 @@ func (n *Node) Route(ctx context.Context, spec service.ComputeSpec) (service.Rou
 // ID attached. Any non-200 answer, or one longer than maxPeerBody, is an
 // error: the caller falls back to local compute. When the routing
 // context carries a trace scope, the owner is asked to trace its hop too
-// (X-Ipcd-Trace) and the spans it returns are merged into this request's
-// recording as the owner's own process lane, re-based to the moment the
-// forward left this node.
+// (X-Ipcd-Trace) and the spans its response trailer returns are merged
+// into this request's recording as the owner's own process lane,
+// re-based to the moment the forward left this node.
 func (n *Node) forward(ctx context.Context, owner string, spec service.ComputeSpec) (service.RoutedResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		owner+"/v1/"+spec.Route, bytes.NewReader(spec.Body))
@@ -322,13 +319,14 @@ func (n *Node) forward(ctx context.Context, owner string, spec service.ComputeSp
 		return service.RoutedResult{}, fmt.Errorf("owner %s answered %d", owner, resp.StatusCode)
 	}
 	if sc != nil {
-		if data := resp.Header.Get(service.TraceSpansHeader); data != "" {
+		// The spans are a trailer: readPeerBody read the body to EOF.
+		if data := resp.Trailer.Get(service.TraceSpansHeader); data != "" {
 			node := resp.Header.Get(service.TraceNodeHeader)
 			if node == "" {
 				node = owner
 			}
-			// Best-effort: a malformed header loses the owner's lane,
-			// never the response.
+			// Best-effort: malformed spans lose the owner's lane, never
+			// the response.
 			_ = sc.Recorder().MergeRemote(node, []byte(data), sentAt)
 		}
 	}

@@ -108,15 +108,15 @@ func BenchmarkServeSolveHitObserved(b *testing.B) {
 }
 
 // replicaRouter is a non-owner's cluster tier for every key: ServeHeld
-// lets the fast path serve held peer bytes, and Route (which only a
-// traced request would reach) answers from them as a replica hit, the
-// way Node.Route does.
-type replicaRouter struct{ cache *RespCache }
+// lets the fast path serve held peer bytes. Route answers not-served:
+// held bytes are the fast path's alone to serve, so a request that
+// reaches Route has found none, and the benchmark's requests never do
+// (a Route call would send one to compute, which the benchmark fails).
+type replicaRouter struct{}
 
 func (*replicaRouter) ServeHeld(string) bool { return true }
-func (r *replicaRouter) Route(_ context.Context, spec ComputeSpec) (RoutedResult, bool) {
-	body, ok := r.cache.GetKey(spec.Key)
-	return RoutedResult{Status: http.StatusOK, Body: body, Decision: DecisionReplicaHit}, ok
+func (*replicaRouter) Route(context.Context, ComputeSpec) (RoutedResult, bool) {
+	return RoutedResult{}, false
 }
 func (*replicaRouter) Offer(ComputeSpec, []byte)                     {}
 func (*replicaRouter) MetricsSnapshot() map[string]any               { return nil }
@@ -130,14 +130,12 @@ func (*replicaRouter) FanOut(context.Context, string, []byte) Fanout { return Fa
 // and the request is answered as a replica hit — no flight, no Route
 // call, no solve. It should cost what BenchmarkServeSolveHit does.
 func BenchmarkServeSolveRouted(b *testing.B) {
-	rr := &replicaRouter{}
-	s := New(Config{Cluster: rr})
-	rr.cache = s.RespCache()
+	s := New(Config{Cluster: &replicaRouter{}})
 	key, err := SolveKey(2, 1, 1, 1140, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !rr.cache.PutReplica(key, []byte("{\"replica\":true}\n")) {
+	if !s.RespCache().PutReplica(key, []byte("{\"replica\":true}\n")) {
 		b.Fatal("replica push refused")
 	}
 	h := s.Handler()

@@ -30,16 +30,18 @@ const HopsHeader = "X-Ipcd-Hops"
 const RequestIDHeader = "X-Ipcd-Request-Id"
 
 // TraceHeader marks a forwarded request as traced by the sending node:
-// the receiver serves it through a private span recorder and returns
-// the serialized spans in TraceSpansHeader.
+// the receiver serves it on its untraced path, watched by a private span
+// recorder, and returns the serialized spans in the TraceSpansHeader
+// trailer.
 const TraceHeader = "X-Ipcd-Trace"
 
 // TraceNodeHeader names the responding node on a remote-traced
 // response; it becomes the merged trace's process-lane name.
 const TraceNodeHeader = "X-Ipcd-Trace-Node"
 
-// TraceSpansHeader carries the responding node's serialized spans
-// (trace.Recorder.MarshalSpans) on a remote-traced response.
+// TraceSpansHeader is the trailer that carries the responding node's
+// serialized spans (trace.Recorder.MarshalSpans) after a remote-traced
+// response's body.
 const TraceSpansHeader = "X-Ipcd-Trace-Spans"
 
 // MaxHops bounds the forwarding chain: a request arriving with
@@ -79,9 +81,8 @@ type ClusterRouter interface {
 	// fast path asks it with the entry's own key string; an owner falls
 	// through to compute.
 	ServeHeld(key string) bool
-	// Route serves spec remotely when this node does not own its key:
-	// held peer bytes (for traced requests, which skip the fast path)
-	// or a forward to the owning peer. It applies ServeHeld's owner
+	// Route serves spec remotely when this node does not own its key,
+	// by a forward to the owning peer. It applies ServeHeld's owner
 	// check. ok is false when the key is locally owned — or the cluster
 	// cannot answer (owner unreachable, draining, hop budget spent) —
 	// and the caller must compute locally; local compute is always
@@ -110,9 +111,10 @@ type ClusterRouter interface {
 	FanOut(ctx context.Context, path string, self []byte) Fanout
 }
 
-// checkHops parses the request's forwarding hop count and rejects the
-// request when the hop budget is spent. It reports the parsed count and
-// whether the request was rejected (the response has been written).
+// checkHops parses the request's forwarding hop count into its record
+// and rejects the request when the hop budget is spent, so a 508's
+// record names the count that caused it. It reports the parsed count
+// and whether the request was rejected (the response has been written).
 func (s *Server) checkHops(w http.ResponseWriter, r *http.Request) (hops int, rejected bool) {
 	h := headerValue(r.Header, HopsHeader)
 	if h == "" {
@@ -123,6 +125,7 @@ func (s *Server) checkHops(w http.ResponseWriter, r *http.Request) (hops int, re
 		writeErr(w, http.StatusBadRequest, "malformed "+HopsHeader+" header", nil)
 		return 0, true
 	}
+	recordOf(w).setHops(n)
 	if n >= MaxHops {
 		s.metrics.inc(fRejectedHops)
 		writeErr(w, http.StatusLoopDetected, "forwarding hop limit exceeded",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -69,6 +70,16 @@ func TestHopLimitRejection(t *testing.T) {
 	}
 	if doc.Serving.RejectedHops != 3 {
 		t.Fatalf("rejected_hops = %d, want 3 (the 508s)", doc.Serving.RejectedHops)
+	}
+	// Each 508's row names the hop count that caused it.
+	var hops []int
+	for _, row := range debugRequests(t, ts.URL).Requests {
+		if row.Status == http.StatusLoopDetected {
+			hops = append(hops, row.Hops)
+		}
+	}
+	if fmt.Sprint(hops) != "[2 2 7]" {
+		t.Fatalf("508 rows' hops = %v, want [2 2 7]", hops)
 	}
 }
 
@@ -315,7 +326,7 @@ func TestFastPathServesHeldPeerBytes(t *testing.T) {
 				t.Fatalf("%s owner: body %q, row %+v, %d routed, %+v; want Route consulted and a local compute",
 					tc.path, body, rows[0], len(routed), doc)
 			}
-			if got, ok := s.RespCache().GetKey(tc.key); !ok || !bytes.Equal(got, body) {
+			if _, got, _, ok := s.RespCache().get([]byte(tc.key)); !ok || !bytes.Equal(got, body) {
 				t.Fatalf("%s owner: cache holds %q, want the computed bytes %q", tc.path, got, body)
 			}
 		}

@@ -76,7 +76,6 @@ var families = [...]family{
 	{section: "resp_cache", key: "misses", flags: summed, value: func(s *sources) int64 { return s.rc.Misses }},
 	{section: "resp_cache", key: "evictions", value: func(s *sources) int64 { return s.rc.Evictions }},
 	{section: "resp_cache", key: "stores", value: func(s *sources) int64 { return s.rc.Stores }},
-	{section: "resp_cache", key: "trace_bypass", flags: summed, value: func(s *sources) int64 { return s.rc.TraceBypass }},
 	{section: "resp_cache", key: "entries", flags: gauge, value: func(s *sources) int64 { return s.rc.Entries }},
 	{section: "resp_cache", key: "bytes", flags: gauge, value: func(s *sources) int64 { return s.rc.Bytes }},
 	{section: "gtpn_cache", key: "hits", flags: sampled | summed, historyKey: "cache_hits", value: func(s *sources) int64 { return int64(s.cs.Hits) }},

@@ -110,11 +110,14 @@ func TestMetricsConcurrentWithSolves(t *testing.T) {
 
 // With TraceDir set, every TraceEvery-th computing request writes a
 // Chrome trace whose spans cover admission, the solver, and encoding.
+// The four requests solve four distinct points, so each sampled one
+// computes: a sampled repeat would be a cache hit, traced as one.
 func TestRequestTraceSampling(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := testServer(t, Config{Workers: 2, TraceDir: dir, TraceEvery: 2})
 	for i := 0; i < 4; i++ {
-		if code, _, _ := post(t, ts.URL+"/v1/solve", solveBody); code != http.StatusOK {
+		body := fmt.Sprintf(`{"arch":%d,"conversations":1,"server_compute_us":1140}`, i+1)
+		if code, _, _ := post(t, ts.URL+"/v1/solve", body); code != http.StatusOK {
 			t.Fatalf("solve returned %d", code)
 		}
 	}

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -295,143 +298,242 @@ func TestRequestIDInheritedValidation(t *testing.T) {
 	}
 }
 
-// A traced request bypasses the preencoded-response fast path; the
-// bypass is counted so the skew stays visible in the hit/miss ratio.
-func TestTraceBypassCounter(t *testing.T) {
-	s, ts := testServer(t, Config{NodeName: "n1", TraceDir: t.TempDir(), TraceEvery: 1})
-	for i := 0; i < 2; i++ {
-		if code, _, b := post(t, ts.URL+"/v1/solve", solveBody); code != 200 {
-			t.Fatalf("solve %d: %d %s", i, code, b)
-		}
-	}
-	var doc struct {
-		RespCache struct {
-			Hits        int64 `json:"hits"`
-			TraceBypass int64 `json:"trace_bypass"`
-		} `json:"resp_cache"`
-	}
-	if err := json.Unmarshal(s.MetricsJSON(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	// Every request was traced, so none consulted the fast path.
-	if doc.RespCache.TraceBypass != 2 || doc.RespCache.Hits != 0 {
-		t.Fatalf("resp_cache trace_bypass=%d hits=%d, want 2/0", doc.RespCache.TraceBypass, doc.RespCache.Hits)
-	}
-}
-
-// Serving one hop of a remote node's traced request returns this node's
-// spans in response headers — and the body bytes are identical to an
-// untraced serve.
-func TestServeRemoteTraced(t *testing.T) {
-	_, ts := testServer(t, Config{NodeName: "owner"})
-	_, _, untraced := post(t, ts.URL+"/v1/solve", solveBody)
-
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(solveBody))
+// postTraced posts body with X-Ipcd-Trace, and with id as the inherited
+// request ID when id is non-empty, and reads the body through EOF, so
+// the response's Trailer holds what the server sent after the body.
+func postTraced(t *testing.T, url, body, id string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RequestIDHeader, "n1-9")
+	if id != "" {
+		req.Header.Set(RequestIDHeader, id)
+	}
 	req.Header.Set(TraceHeader, "1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body bytes.Buffer
-	body.ReadFrom(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced hop: %d %s", resp.StatusCode, body.String())
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(body.Bytes(), untraced) {
-		t.Fatalf("traced hop body differs from untraced serve:\n%s\nvs\n%s", body.Bytes(), untraced)
-	}
-	if got := resp.Header.Get(TraceNodeHeader); got != "owner" {
-		t.Fatalf("%s = %q, want owner", TraceNodeHeader, got)
-	}
+	return resp, buf.Bytes()
+}
+
+// spanNames parses a remote-traced hop's serialized spans into the set
+// of their names.
+func spanNames(t *testing.T, data string) map[string]bool {
+	t.Helper()
 	var spans []struct {
 		Name string `json:"n"`
-		TS   int64  `json:"t"`
 	}
-	if err := json.Unmarshal([]byte(resp.Header.Get(TraceSpansHeader)), &spans); err != nil {
-		t.Fatalf("%s not parseable: %v\n%q", TraceSpansHeader, err, resp.Header.Get(TraceSpansHeader))
+	if err := json.Unmarshal([]byte(data), &spans); err != nil {
+		t.Fatalf("%s not parseable: %v\n%q", TraceSpansHeader, err, data)
 	}
 	names := map[string]bool{}
 	for _, sp := range spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"solve", "decode"} {
-		if !names[want] {
-			t.Fatalf("remote spans missing %q: %v", want, spans)
-		}
-	}
+	return names
 }
 
-// X-Ipcd-Trace alone is not trusted: without the inherited request ID a
-// cluster forward always carries, the request is served through the
-// normal (cache-eligible, unbuffered) path and returns no span headers.
-func TestTraceHeaderRequiresInheritedID(t *testing.T) {
-	s, ts := testServer(t, Config{NodeName: "owner"})
-	if code, _, b := post(t, ts.URL+"/v1/solve", solveBody); code != 200 {
-		t.Fatalf("warm solve: %d %s", code, b)
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(solveBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(TraceHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(TraceSpansHeader); got != "" {
-		t.Fatalf("bare %s returned spans: %q", TraceHeader, got)
-	}
-	if got := resp.Header.Get(TraceNodeHeader); got != "" {
-		t.Fatalf("bare %s returned %s: %q", TraceHeader, TraceNodeHeader, got)
-	}
-	// The warm entry answered it — the bare header must not force the
-	// trace bypass that a genuine remote-traced hop takes.
+// servingCounts reads the leader and response-cache counters.
+func servingCounts(t *testing.T, s *Server) (leaders, hits, misses int64) {
+	t.Helper()
 	var doc struct {
+		Serving struct {
+			Leaders int64 `json:"leaders"`
+		} `json:"serving"`
 		RespCache struct {
-			Hits int64 `json:"hits"`
+			Hits   int64 `json:"hits"`
+			Misses int64 `json:"misses"`
 		} `json:"resp_cache"`
 	}
 	if err := json.Unmarshal(s.MetricsJSON(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.RespCache.Hits != 1 {
-		t.Fatalf("resp_cache hits = %d, want 1 (bare trace header must stay on the fast path)", doc.RespCache.Hits)
+	return doc.Serving.Leaders, doc.RespCache.Hits, doc.RespCache.Misses
+}
+
+// A trace watches the path that serves a request and never changes it.
+// With every request sampled, a repeat is a resp-cache hit, and its
+// trace names that decision instead of showing an admission. A
+// remote-traced hop for a warm key — a valid inherited ID with
+// X-Ipcd-Trace, as a cluster forward sends — is a hit too: it computes
+// nothing, answers the untraced bytes, and its spans follow the body in
+// the trailer.
+func TestTracedRequestTakesFastPath(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := testServer(t, Config{NodeName: "n1", TraceDir: dir, TraceEvery: 1})
+	var bodies [2][]byte
+	for i := range bodies {
+		code, _, b := post(t, ts.URL+"/v1/solve", solveBody)
+		if code != http.StatusOK {
+			t.Fatalf("solve %d: %d %s", i, code, b)
+		}
+		bodies[i] = b
+	}
+	if leaders, hits, misses := servingCounts(t, s); leaders != 1 || hits != 1 || misses != 1 {
+		t.Fatalf("leaders=%d resp_cache hits=%d misses=%d, want 1/1/1: a traced repeat is a hit", leaders, hits, misses)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("traced repeat diverges:\n%s\nvs\n%s", bodies[0], bodies[1])
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "req-2-solve.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace not JSON: %v", err)
+	}
+	events := map[string]string{}
+	for _, e := range doc.TraceEvents {
+		events[e.Name] = e.Ph
+	}
+	if events[DecisionRespCacheHit] != "i" || events["admission.wait"] != "" {
+		t.Fatalf("repeat's trace events = %v, want a %s instant and no admission.wait", events, DecisionRespCacheHit)
+	}
+
+	resp, body := postTraced(t, ts.URL+"/v1/solve", solveBody, "n0-7")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies[0]) {
+		t.Fatalf("remote-traced hit: %d %s, want 200 and the untraced bytes", resp.StatusCode, body)
+	}
+	if leaders, hits, _ := servingCounts(t, s); leaders != 1 || hits != 2 {
+		t.Fatalf("leaders=%d resp_cache hits=%d after a remote-traced repeat, want 1 and 2: the trace forced a compute", leaders, hits)
+	}
+	if got := resp.Header.Get(TraceSpansHeader); got != "" {
+		t.Fatalf("spans sent as a header, want a trailer: %q", got)
+	}
+	names := spanNames(t, resp.Trailer.Get(TraceSpansHeader))
+	for _, want := range []string{"solve", "decode", DecisionRespCacheHit} {
+		if !names[want] {
+			t.Fatalf("trailer spans missing %q: %v", want, names)
+		}
 	}
 }
 
-// The sweep NDJSON stream is never remote-traced — even a peer-shaped
-// trace demand must not buffer the stream or break per-point flushing.
+// Serving one hop of a remote node's traced request returns this node's
+// name in a header and its spans in the trailer — and the body bytes are
+// identical to an untraced serve.
+func TestServeRemoteTraced(t *testing.T) {
+	_, ts := testServer(t, Config{NodeName: "owner"})
+	_, _, untraced := post(t, ts.URL+"/v1/solve", solveBody)
+
+	resp, body := postTraced(t, ts.URL+"/v1/solve", solveBody, "n1-9")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced hop: %d %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, untraced) {
+		t.Fatalf("traced hop body differs from untraced serve:\n%s\nvs\n%s", body, untraced)
+	}
+	if got := resp.Header.Get(TraceNodeHeader); got != "owner" {
+		t.Fatalf("%s = %q, want owner", TraceNodeHeader, got)
+	}
+	names := spanNames(t, resp.Trailer.Get(TraceSpansHeader))
+	for _, want := range []string{"solve", "decode"} {
+		if !names[want] {
+			t.Fatalf("remote spans missing %q: %v", want, names)
+		}
+	}
+}
+
+// noSpans fails when a response carries remote-trace output in its
+// header or its trailer.
+func noSpans(t *testing.T, what string, resp *http.Response) {
+	t.Helper()
+	for _, h := range []http.Header{resp.Header, resp.Trailer} {
+		if got := h.Get(TraceSpansHeader); got != "" {
+			t.Fatalf("%s returned spans: %q", what, got)
+		}
+		if got := h.Get(TraceNodeHeader); got != "" {
+			t.Fatalf("%s returned %s: %q", what, TraceNodeHeader, got)
+		}
+	}
+}
+
+// X-Ipcd-Trace alone is not trusted: without the inherited request ID a
+// cluster forward always carries, the request records no hop and
+// returns no spans.
+func TestTraceHeaderRequiresInheritedID(t *testing.T) {
+	s, ts := testServer(t, Config{NodeName: "owner"})
+	if code, _, b := post(t, ts.URL+"/v1/solve", solveBody); code != 200 {
+		t.Fatalf("warm solve: %d %s", code, b)
+	}
+	resp, body := postTraced(t, ts.URL+"/v1/solve", solveBody, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: %d %s", resp.StatusCode, body)
+	}
+	noSpans(t, "bare "+TraceHeader, resp)
+	// The warm entry answered it.
+	if _, hits, _ := servingCounts(t, s); hits != 1 {
+		t.Fatalf("resp_cache hits = %d, want 1", hits)
+	}
+}
+
+// The sweep NDJSON stream is never remote-traced: a sweep is never
+// forwarded, so even a peer-shaped trace demand records no hop.
 func TestSweepStreamNotRemoteTraced(t *testing.T) {
 	_, ts := testServer(t, Config{NodeName: "owner"})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(sweepBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RequestIDHeader, "n1-4")
-	req.Header.Set(TraceHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body bytes.Buffer
-	body.ReadFrom(resp.Body)
+	resp, body := postTraced(t, ts.URL+"/v1/sweep", sweepBody, "n1-4")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d %s", resp.StatusCode, body.String())
+		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(TraceSpansHeader); got != "" {
-		t.Fatalf("sweep stream served remote-traced: %q", got)
+	noSpans(t, "sweep stream", resp)
+}
+
+// A remote-traced hop's recorder is sized to what its trailer carries: a
+// warm hit served this way allocates well under 64 KB (a recorder of
+// 4,096 spans is 295 KB on its own), and a non-local point's compute, a
+// hop of about 120 spans, still ships every span it records.
+func TestRemoteTracedHopRecorderSize(t *testing.T) {
+	s := New(Config{NodeName: "owner"})
+	h := s.Handler()
+	req, rb, payload := benchSolveRequest()
+	req.Header.Set(RequestIDHeader, "n1-9")
+	req.Header.Set(TraceHeader, "1")
+	w := &discardRW{h: make(http.Header, 4)}
+	serve := func() {
+		rb.Reset(payload)
+		w.status = 0
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	}
+	serve() // computes the point
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if w.status != http.StatusOK || s.respCache.Stats().Hits != n || w.h.Get(TraceSpansHeader) == "" {
+		t.Fatalf("status %d, resp_cache %+v, spans %q: want %d traced hits", w.status, s.respCache.Stats(), w.h.Get(TraceSpansHeader), n)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Fatalf("a remote-traced warm hit allocates %d bytes, want under 64 KB", per)
+	}
+
+	payload = []byte(`{"arch":1,"conversations":2,"server_compute_us":1140,"non_local":true}`)
+	serve()
+	var spans []struct {
+		Name string `json:"n"`
+	}
+	if err := json.Unmarshal([]byte(w.h.Get(TraceSpansHeader)), &spans); err != nil || w.status != http.StatusOK {
+		t.Fatalf("non-local hop: status %d, spans %v", w.status, err)
+	}
+	// The ring keeps the newest spans, so a full one would have lost
+	// decode, the hop's first.
+	if len(spans) < 100 || len(spans) >= remoteTraceSpans || spans[0].Name != "decode" || spans[len(spans)-1].Name != "solve" {
+		t.Fatalf("non-local hop shipped %d spans, %v ... %v; want all of them, decode through solve", len(spans), spans[0], spans[len(spans)-1])
 	}
 }

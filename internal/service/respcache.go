@@ -9,18 +9,16 @@ import "sync"
 // lookup plus one Write: no decode of the solver's answer, no tree
 // build, no re-encode, no per-request buffers.
 //
-// One index, byKey, serves both ways a hit arrives. The flight key is
-// the validated request parameters, so the local fast path builds it in
-// a stack buffer and looks it up without allocating; the cluster tier
-// looks up the same key for replica hits. Each entry records whether
-// this node computed it (local) or holds a peer's bytes for it — a
-// replica push, or the owner's answer to an earlier forward. The fast
-// path serves a local entry outright and peer bytes only where the
-// cluster tier's owner check allows (never at the key's owner, never on
-// a single node), counted there as a replica hit; traced requests,
-// which skip the fast path, reach the same bytes through Node.Route.
-// Peer bytes are only a claim: a local compute for the same key
-// replaces them.
+// One index, byKey, keyed by the flight key: the validated request
+// parameters, so the fast path builds the key in a stack buffer and
+// looks it up without allocating. Each entry records whether this node
+// computed it (local) or holds a peer's bytes for it — a replica push,
+// or the owner's answer to an earlier forward. The fast path serves a
+// local entry outright and peer bytes only where the cluster tier's
+// owner check allows (never at the key's owner, never on a single
+// node), counted there as a replica hit. Every request, traced or not,
+// looks the cache up once, on the fast path. Peer bytes are only a
+// claim: a local compute for the same key replaces them.
 //
 // The counters are plain integers updated under the cache mutex, so
 // counting on the hit path never allocates.
@@ -37,15 +35,14 @@ type respEntry struct {
 // RespCacheStats is a point-in-time snapshot of the cache counters. A
 // fast-path lookup counts once: a hit when it answers, local bytes or
 // held peer bytes, and a miss when the request goes on to the flight
-// group. The routing layer's GetKey counts a hit of its own.
+// group.
 type RespCacheStats struct {
-	Hits        int64 // responses served from cached bytes
-	Misses      int64 // fast-path lookups that did not answer
-	Evictions   int64 // entries dropped for capacity
-	Stores      int64 // entries stored (local computes + peer bytes)
-	Entries     int64 // current entry count
-	Bytes       int64 // current sum of body bytes
-	TraceBypass int64 // traced requests that skipped the fast path
+	Hits      int64 // responses served from cached bytes
+	Misses    int64 // fast-path lookups that did not answer
+	Evictions int64 // entries dropped for capacity
+	Stores    int64 // entries stored (local computes + peer bytes)
+	Entries   int64 // current entry count
+	Bytes     int64 // current sum of body bytes
 }
 
 // RespCache is the LRU-bounded preencoded-response cache.
@@ -116,34 +113,6 @@ func (c *RespCache) countHeld(served bool) {
 		c.counts.Misses++
 	}
 	c.mu.Unlock()
-}
-
-// TraceBypass counts one traced request that skipped the fast path: a
-// sampled trace exists to show the full pipeline, so traced requests
-// never consult the cache, and without this counter that skew
-// would be invisible in the hit/miss ratio.
-func (c *RespCache) TraceBypass() {
-	c.mu.Lock()
-	c.counts.TraceBypass++
-	c.mu.Unlock()
-}
-
-// GetKey looks a flight key up — the cluster tier's view of the cache
-// (Node.Route serves held peer bytes through it to traced requests). A
-// found entry counts as a hit immediately: the routing layer serves
-// what it finds.
-func (c *RespCache) GetKey(key string) ([]byte, bool) {
-	c.mu.Lock()
-	e := c.byKey[key]
-	if e == nil {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.moveToFrontLocked(e)
-	c.counts.Hits++
-	body := e.body
-	c.mu.Unlock()
-	return body, true
 }
 
 // PutReplica stores peer bytes — a replica push, or the owner's answer

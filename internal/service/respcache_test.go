@@ -118,10 +118,6 @@ func TestRespCacheLRUEvictionOrder(t *testing.T) {
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", st)
 	}
-	// The evicted entry must be gone from the cluster tier's view too.
-	if _, ok := c.GetKey("b"); ok {
-		t.Fatal("b still reachable by key after eviction")
-	}
 }
 
 // Memory stays bounded under churn: both the entry bound and the byte
@@ -149,7 +145,7 @@ func TestRespCacheByteBound(t *testing.T) {
 	big := bytes.Repeat([]byte("y"), 200)
 	c.putLocal("a", big)
 	c.putLocal("b", big) // 400 bytes total: a must go
-	if _, ok := c.GetKey("a"); ok {
+	if _, _, _, ok := c.get([]byte("a")); ok {
 		t.Fatal("a survived a byte-bound eviction")
 	}
 	if st := c.Stats(); st.Bytes > 256 {
@@ -158,7 +154,7 @@ func TestRespCacheByteBound(t *testing.T) {
 	if c.PutReplica("huge", bytes.Repeat([]byte("z"), 300)) {
 		t.Fatal("an oversized body must be refused, not stored")
 	}
-	if _, ok := c.GetKey("b"); !ok {
+	if _, _, _, ok := c.get([]byte("b")); !ok {
 		t.Fatal("refusing the oversized body must not evict anything")
 	}
 }
@@ -187,19 +183,16 @@ func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	if !c.PutReplica("some-flight-key", []byte("pushed")) {
 		t.Fatal("push refused")
 	}
-	if _, ok := c.GetKey("some-flight-key"); !ok {
-		t.Fatal("pushed entry must be reachable by key")
-	}
 	key, body, local, ok := c.get([]byte("some-flight-key"))
 	if !ok || local || key != "some-flight-key" || string(body) != "pushed" {
 		t.Fatalf("fast-path lookup of a push = %q %q local=%v ok=%v, want the pushed bytes, not local", key, body, local, ok)
 	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("stats = %+v, want only GetKey's hit before the held lookup is settled", st)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want no count before the held lookup is settled", st)
 	}
 	c.countHeld(true)
 	c.countHeld(false)
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want a served held lookup as a hit and a refused one as a miss", st)
 	}
 	// A local compute for the same key takes the entry over in place,
@@ -213,7 +206,7 @@ func TestRespCacheReplicaKeyOnly(t *testing.T) {
 	}
 	// A later push never displaces the computed body.
 	c.PutReplica("some-flight-key", []byte("bogus"))
-	if body, ok := c.GetKey("some-flight-key"); !ok || string(body) != "computed" {
+	if _, body, _, ok := c.get([]byte("some-flight-key")); !ok || string(body) != "computed" {
 		t.Fatalf("push displaced a computed body: %q %v", body, ok)
 	}
 }
@@ -234,7 +227,7 @@ func TestRespCacheReplaceHoldsByteBound(t *testing.T) {
 	}
 }
 
-// Pushes, local computes and both lookups racing on the same keys: the
+// Pushes, local computes and lookups racing on the same keys: the
 // race detector is one assertion; the other is that once every compute
 // has landed, each key serves its computed body and the byte gauge
 // matches the entries.
@@ -259,7 +252,6 @@ func TestRespCacheConcurrentPushAndCompute(t *testing.T) {
 					c.putLocal(k, computed(k))
 				default:
 					c.get([]byte(k))
-					c.GetKey(k)
 				}
 			}
 		}(g)
@@ -358,9 +350,6 @@ func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 			t.Fatal("held entry vanished")
 		}
 		c.countHeld(true)
-		if _, ok := c.GetKey(key); !ok {
-			t.Fatal("key vanished")
-		}
 	}); n != 0 {
 		t.Fatalf("cache hit path allocates %v per run, want 0", n)
 	}

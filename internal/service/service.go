@@ -293,10 +293,6 @@ func (s *Server) Drain(ctx context.Context) error {
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-	// buf, when non-nil, captures the handler's body instead of passing
-	// it through — the remote-traced path must append trace headers
-	// after the handler finishes, so the response is held until then.
-	buf *bytes.Buffer
 	// rec is the request's observability record, embedded by value so
 	// the untraced fast path fills it without allocating.
 	rec requestRecord
@@ -306,27 +302,13 @@ var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
-	if w.buf != nil {
-		return
-	}
 	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.buf != nil {
-		return w.buf.Write(p)
-	}
-	return w.ResponseWriter.Write(p)
 }
 
 // Flush forwards to the underlying writer, preserving http.Flusher
 // through the instrumentation wrapper — without this the sweep NDJSON
-// stream would buffer until the handler returns. While buffering for
-// the remote-traced path it is a no-op: the response is held anyway.
+// stream would buffer until the handler returns.
 func (w *statusWriter) Flush() {
-	if w.buf != nil {
-		return
-	}
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -351,7 +333,7 @@ func (s *Server) instrument(route string, isObs bool, h http.HandlerFunc) http.H
 		s.metrics.requestStart(route)
 		start := time.Now()
 		sw := statusWriterPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.status, sw.buf = w, http.StatusOK, nil
+		sw.ResponseWriter, sw.status = w, http.StatusOK
 		sw.rec = requestRecord{route: route, id: s.mintID(r, isObs)}
 		if sw.rec.id.Raw != "" {
 			// Echo an inherited ID so the sending node can correlate the
@@ -361,11 +343,7 @@ func (s *Server) instrument(route string, isObs bool, h http.HandlerFunc) http.H
 		if headerValue(r.Header, TraceHeader) != "" && remoteTraceable(route) && sw.rec.id.Raw != "" {
 			s.serveRemoteTraced(sw, r, route, h)
 		} else if rec, seq := s.sampleTrace(isObs); rec != nil {
-			rec.RegisterProcess(0, s.cfg.NodeName)
-			sc := rec.NewScope(0, sw.rec.id.String()+" "+route)
-			sp := sc.Begin(route, "http")
-			h(sw, r.WithContext(trace.NewContext(r.Context(), sc)))
-			sp.End()
+			s.serveTraced(rec, sw, r, route, h)
 			s.writeTrace(rec, seq, route)
 		} else {
 			h(sw, r)
@@ -484,47 +462,62 @@ func (s *Server) logAccess(rec *requestRecord) {
 	_ = h.Handle(ctx, r)
 }
 
-// remoteTraceable reports whether a route may serve a remote-traced hop
-// — a buffered response with span headers appended after the handler
-// returns. Only the cluster-forwardable compute routes qualify: the
-// sweep NDJSON stream must keep its per-point Flush semantics (a peer
-// never forwards it traced), and observability routes are never traced.
-// The header is additionally honored only alongside a valid inherited
-// X-Ipcd-Request-Id (checked at the call site) — the peer-shaped
-// request signature every cluster forward carries — so a bare external
-// X-Ipcd-Trace cannot switch a route onto the buffering path or bypass
-// the response cache.
+// remoteTraceable reports whether a route may serve a remote-traced hop.
+// Only the routes a cluster node forwards qualify: solve and simulate.
+// A sweep is never forwarded, so no peer asks to trace one, and the
+// observability routes are never traced. The header is additionally
+// honored only alongside a valid inherited X-Ipcd-Request-Id (checked
+// at the call site) — the peer-shaped request signature every cluster
+// forward carries — so a bare external X-Ipcd-Trace cannot make a node
+// record a hop and return its spans.
 func remoteTraceable(route string) bool {
 	return route == "solve" || route == "simulate"
 }
 
-// maxTraceSpansHeader bounds the serialized-span response header a
-// remote-traced hop returns; a hop whose spans outgrow it returns none
-// (the trace merge is best-effort, the response is not).
-const maxTraceSpansHeader = 48 << 10
+// The span capacities of a traced request's recorder. A remote-traced
+// hop records 12 spans for a local point and up to about 130 for a
+// non-local one, so remoteTraceSpans holds any point's hop; a hop past
+// it keeps its newest spans. A sampled trace keeps sampledTraceSpans,
+// because a sweep can record thousands.
+const (
+	remoteTraceSpans  = 256
+	sampledTraceSpans = 1 << 12
+)
 
-// serveRemoteTraced serves one hop of another node's traced request: a
-// fresh wall recorder captures this node's spans while the response is
-// held in a buffer, then the serialized spans ride back to the tracing
-// node in response headers and the buffered body is replayed verbatim —
-// the bytes on the wire are identical to an untraced serve.
+// maxTraceSpans bounds the serialized spans a remote-traced hop returns;
+// a hop whose spans outgrow it returns none (the trace merge is
+// best-effort, the response is not).
+const maxTraceSpans = 48 << 10
+
+// serveRemoteTraced serves one hop of another node's traced request on
+// the path an untraced one takes, a fresh wall recorder watching it.
+// The response streams as it would untraced, and the serialized spans
+// follow the body in the TraceSpansHeader trailer, declared before the
+// handler writes: the body bytes are an untraced serve's.
 func (s *Server) serveRemoteTraced(sw *statusWriter, r *http.Request, route string, h http.HandlerFunc) {
-	rec := trace.NewWall(1 << 12)
-	rec.RegisterProcess(0, s.cfg.NodeName)
-	sc := rec.NewScope(0, sw.rec.id.String()+" "+route)
-	sw.buf = new(bytes.Buffer)
-	sp := sc.Begin(route, "http")
-	h(sw, r.WithContext(trace.NewContext(r.Context(), sc)))
-	sp.End()
+	rec := trace.NewWall(remoteTraceSpans)
 	hdr := sw.Header()
 	hdr.Set(TraceNodeHeader, s.cfg.NodeName)
-	if data := rec.MarshalSpans(); len(data) > 0 && len(data) <= maxTraceSpansHeader {
+	hdr.Set("Trailer", TraceSpansHeader)
+	s.serveTraced(rec, sw, r, route, h)
+	if data := rec.MarshalSpans(); len(data) > 0 && len(data) <= maxTraceSpans {
 		hdr.Set(TraceSpansHeader, string(data))
 	}
-	body := sw.buf
-	sw.buf = nil
-	sw.ResponseWriter.WriteHeader(sw.status)
-	sw.ResponseWriter.Write(body.Bytes())
+}
+
+// serveTraced runs a traced request's handler on rec, on the path an
+// untraced request takes: the request's track holds the route's span,
+// the spans of the layers it crossed, and one instant naming the
+// routing decision that answered it, as its access record does.
+func (s *Server) serveTraced(rec *trace.Recorder, sw *statusWriter, r *http.Request, route string, h http.HandlerFunc) {
+	rec.RegisterProcess(0, s.cfg.NodeName)
+	sc := rec.NewScope(0, sw.rec.id.String()+" "+route)
+	sp := sc.Begin(route, "http")
+	h(sw, r.WithContext(trace.NewContext(r.Context(), sc)))
+	if d := sw.rec.decision; d != decisionNone {
+		sc.Instant(decisionNames[d], "serve")
+	}
+	sp.End()
 }
 
 // sampleTrace decides whether this request is traced; the zeroth,
@@ -538,7 +531,7 @@ func (s *Server) sampleTrace(isObs bool) (*trace.Recorder, int64) {
 	if (n-1)%int64(s.cfg.TraceEvery) != 0 {
 		return nil, 0
 	}
-	return trace.NewWall(1 << 12), n
+	return trace.NewWall(sampledTraceSpans), n
 }
 
 // writeTrace persists a sampled request's trace. Tracing is
@@ -634,10 +627,10 @@ func (s *Server) queueDepth() int64 {
 // bounded worker pool under the request-timeout context.
 //
 // With a cluster configured, the leader first asks the cluster tier to
-// serve the key — held peer bytes or a forward to the owning peer —
-// before taking a worker slot: routed requests cost this node I/O, not
-// compute, so they never occupy the admission queue. Only a locally
-// owned (or cluster-unanswerable) key admits and computes here.
+// serve the key — a forward to the owning peer — before taking a worker
+// slot: routed requests cost this node I/O, not compute, so they never
+// occupy the admission queue. Only a locally owned (or
+// cluster-unanswerable) key admits and computes here.
 // A point's fresh 200 (spec.Body set: solve and simulate) is stored in
 // the response cache for the fast path and offered back for
 // replication. A cluster-routed body is never stored here: the cluster
@@ -710,8 +703,6 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 	if !leader {
 		s.metrics.inc(fCoalesced)
 		rec.setDecision(decisionFlightFollower)
-		// A traced follower's wait is the whole story of its request.
-		sc.Instant("coalesced", "serve")
 	}
 	writeDet(w, res.status, res.header, res.body)
 }
@@ -962,7 +953,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	var kb [keyBufLen]byte
 	key := q.appendKey(kb[:0])
-	if s.serveCached(w, r, key) {
+	if s.serveCached(w, key) {
 		return
 	}
 	s.computePoint(w, r, "solve", string(key), hops, q.canonicalBody, func(ctx context.Context) flightResult {
@@ -989,7 +980,6 @@ func (s *Server) decodePoint(w http.ResponseWriter, r *http.Request, q interface
 	if rejected {
 		return 0, false
 	}
-	recordOf(w).setHops(hops)
 	return hops, s.decodeValid(w, r, q)
 }
 
@@ -1019,14 +1009,9 @@ func (s *Server) decodeValid(w http.ResponseWriter, r *http.Request, q interface
 // Content-Type value is the shared jsonContentType. The key is the
 // caller's stack bytes; the router is asked with the entry's own
 // string, so the stack buffer never escapes through the interface call.
-// Traced requests take the full path: a sampled trace exists to show
-// the pipeline. Reports whether it answered.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte) bool {
-	if sc := trace.ScopeFrom(r.Context()); sc != nil {
-		s.respCache.TraceBypass()
-		sc.Instant("respcache.bypass", "serve")
-		return false
-	}
+// A traced request takes it like any other: the trace watches the path
+// that serves the request. Reports whether it answered.
+func (s *Server) serveCached(w http.ResponseWriter, key []byte) bool {
 	ckey, body, local, ok := s.respCache.get(key)
 	if !ok {
 		return false
@@ -1139,7 +1124,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	var kb [keyBufLen]byte
 	key := q.appendKey(kb[:0])
-	if s.serveCached(w, r, key) {
+	if s.serveCached(w, key) {
 		return
 	}
 	s.computePoint(w, r, "simulate", string(key), hops, q.canonicalBody, func(ctx context.Context) flightResult {

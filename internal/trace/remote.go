@@ -8,7 +8,7 @@ import (
 // Cross-node trace merging. A cluster node serving one hop of another
 // node's traced request records its own spans into a private wall-clock
 // recorder, serializes them with MarshalSpans, and returns them in a
-// response header; the tracing node materializes them with MergeRemote
+// response trailer; the tracing node materializes them with MergeRemote
 // as a new process lane, so the final Chrome trace shows one pid per
 // node with the hop's server-side work aligned under the forward's RTT.
 
