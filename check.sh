@@ -57,6 +57,7 @@ fuzz_smoke() {
     for target in \
         ./internal/gtpn:FuzzParseNet \
         ./internal/gtpn:FuzzDenseClassSolve \
+        ./internal/core:FuzzLocalPointReuse \
         ./internal/service:FuzzSolveRequest \
         ./internal/service:FuzzClusterMerge \
         ./internal/service:FuzzRequestID \

@@ -95,6 +95,10 @@ type System struct {
 	// roundTripC), Workload.NonLocal → float64. It is shared by
 	// pointer, so the copies MeasureManyContext makes of a System share it too.
 	c *sync.Map
+	// points pools local solver scratch per conversations count (see
+	// solveLocal), int → *sync.Pool of *models.LocalPointSolver. It hangs
+	// off a pointer, as c does, and a sync.Pool must not be copied.
+	points *sync.Map
 }
 
 // Option configures a System.
@@ -109,7 +113,7 @@ func WithSeed(seed uint64) Option { return func(s *System) { s.seed = seed } }
 
 // New creates a System for the given architecture.
 func New(arch Arch, opts ...Option) *System {
-	s := &System{arch: arch, hosts: 1, seed: 1, c: new(sync.Map)}
+	s := &System{arch: arch, hosts: 1, seed: 1, c: new(sync.Map), points: new(sync.Map)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -154,7 +158,7 @@ func (s *System) AnalyzeContext(ctx context.Context, w Workload) (Prediction, er
 		p = Prediction{Throughput: res.Throughput * 1e6, RoundTripUS: res.RoundTrip,
 			States: res.ClientStates + res.ServerStates}
 	} else {
-		res, err := models.BuildLocal(s.arch, w.Conversations, s.hosts, w.ServerComputeUS).SolveContext(ctx, systemSolve)
+		res, err := s.solveLocal(ctx, w)
 		if err != nil {
 			return Prediction{}, err
 		}
@@ -166,6 +170,37 @@ func (s *System) AnalyzeContext(ctx context.Context, w Workload) (Prediction, er
 	}
 	p.OfferedLoad = timing.OfferedLoad(c, w.ServerComputeUS)
 	return p, nil
+}
+
+// solveLocal solves a local point on solver scratch pooled per
+// conversations count. Points of one count on one System differ only
+// in X, so a pooled solver derives the point's net from the last model
+// it solved and reweights that model's graph, where a cold solve would
+// build both; its bits are a cold, uncached solve's. The scratch lives
+// in a sync.Pool, so the GC may clear what no solve is using, and a
+// failed or cancelled solve drops its scratch rather than put back a
+// graph it may have left partly rewritten.
+func (s *System) solveLocal(ctx context.Context, w Workload) (models.LocalResult, error) {
+	pool := s.pointPool(w.Conversations)
+	ls, _ := pool.Get().(*models.LocalPointSolver)
+	if ls == nil {
+		ls = models.NewLocalPointSolver(systemSolve)
+	}
+	res, err := ls.SolveContext(ctx, s.arch, w.Conversations, s.hosts, w.ServerComputeUS)
+	if err != nil {
+		return models.LocalResult{}, err
+	}
+	pool.Put(ls)
+	return res, nil
+}
+
+// pointPool returns the scratch pool of n conversations.
+func (s *System) pointPool(n int) *sync.Pool {
+	p, ok := s.points.Load(n)
+	if !ok {
+		p, _ = s.points.LoadOrStore(n, new(sync.Pool))
+	}
+	return p.(*sync.Pool)
 }
 
 // AnalyzeSweep solves an ordered grid of workload points with the

@@ -3,6 +3,8 @@ package gtpn
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/trace"
 )
 
 // graph is the reachability graph of the net's embedded Markov chain
@@ -19,6 +21,8 @@ import (
 type graph struct {
 	n  *Net
 	st *stateTable
+	// r is the resolver that built the graph; reweight rebinds it.
+	r *resolver
 
 	dt   []float64
 	dead []bool
@@ -63,7 +67,7 @@ func (n *Net) buildGraph(ctx context.Context, maxStates int) (*graph, error) {
 	w := np + n.firingLen
 	st := newStateTable(w)
 	r := newResolver(n)
-	g := &graph{n: n, st: st, rowPtr: []int{0}, compPtr: []int{0}}
+	g := &graph{n: n, st: st, r: r, rowPtr: []int{0}, compPtr: []int{0}}
 
 	// Resolve the initial instant into the starting distribution.
 	start := make([]int32, w)
@@ -157,7 +161,8 @@ func (n *Net) buildGraph(ctx context.Context, maxStates int) (*graph, error) {
 // row shapes) are verified against the walk rather than trusted. What it
 // skips relative to a cold build is every allocation and every state
 // insertion — the arrays and the interning table are already exactly
-// right-sized and populated.
+// right-sized and populated, and the graph's resolver is rebound to n2
+// rather than made anew.
 //
 // It reports false when the walk deviates from the recorded skeleton (a
 // shape-key contract violation): g is then partially rewritten and MUST
@@ -171,7 +176,8 @@ func (g *graph) reweight(ctx context.Context, n2 *Net) (bool, error) {
 	if g.st.w != w || len(g.n.places) != np || len(g.n.trans) != nt {
 		return false, nil
 	}
-	r := newResolver(n)
+	r := g.r
+	r.bind(n)
 
 	// Initial instant: same outcome set in the same order, new weights.
 	start := make([]int32, w)
@@ -260,4 +266,30 @@ func (g *graph) reweight(ctx context.Context, n2 *Net) (bool, error) {
 	}
 	g.n = n
 	return true, nil
+}
+
+// graphFor returns the graph to solve n on. A non-nil prev is
+// reweighted in place for n, under a gtpn.graph_reuse span and counted
+// in GraphsReused; when prev is nil, or its walk deviates from the
+// recorded skeleton, n's graph is built cold, under a gtpn.build span
+// and counted in GraphsBuilt. reused reports whether the graph is prev.
+// prev is consumed either way: after an error or a deviation it is
+// partly rewritten and must not be solved on again.
+func graphFor(ctx context.Context, sc *trace.Scope, prev *graph, n *Net, maxStates int) (g *graph, reused bool, err error) {
+	if prev != nil {
+		sp := sc.Begin("gtpn.graph_reuse", "gtpn")
+		ok, err := prev.reweight(ctx, n)
+		sp.End()
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			engineStats.graphsReused.Add(1)
+			return prev, true, nil
+		}
+	}
+	sp := sc.Begin("gtpn.build", "gtpn")
+	g, err = n.buildGraph(ctx, maxStates)
+	sp.End()
+	return g, false, err
 }

@@ -249,10 +249,15 @@ func (tb *TransitionBuilder) Freq(f FreqFunc) *TransitionBuilder {
 // whether the weight is positive: any two positive constants enable the
 // transition in exactly the same states.
 func (tb *TransitionBuilder) FreqConst(w float64) *TransitionBuilder {
-	tb.t.Freq = Const(w)
-	tb.t.FreqKey = constKey(w)
-	tb.t.ShapeKey = constShapeKey(w)
+	tb.t.setConst(w)
 	return tb
+}
+
+// setConst gives t the constant frequency w and its keys.
+func (t *Transition) setConst(w float64) {
+	t.Freq = Const(w)
+	t.FreqKey = constKey(w)
+	t.ShapeKey = constShapeKey(w)
 }
 
 // FreqKeyed sets the firing-weight function together with a canonical
@@ -287,7 +292,8 @@ func (tb *TransitionBuilder) FreqKeyedShape(key, shapeKey string, f FreqFunc) *T
 // constKey is the canonical frequency key of Const(w). The hex float
 // form is exact, so two weights key equal iff they are the same float64.
 func constKey(w float64) string {
-	return "c:" + strconv.FormatFloat(w, 'x', -1, 64)
+	var buf [32]byte
+	return string(strconv.AppendFloat(append(buf[:0], "c:"...), w, 'x', -1, 64))
 }
 
 // constShapeKey is the canonical shape key of Const(w): a positive
@@ -346,6 +352,29 @@ func (b *Builder) MustBuild() *Net {
 		panic(err)
 	}
 	return n
+}
+
+// WithConstFreqs returns a copy of n in which transition ts[i] has the
+// constant frequency ws[i], set and keyed as FreqConst sets it. It is
+// the net a Builder would freeze from n's definition with those
+// FreqConst calls, signatures included, without building one: the copy
+// shares n's places and frozen tables, which never change, and owns
+// only its transition list.
+func (n *Net) WithConstFreqs(ts []TransID, ws []float64) *Net {
+	c := &Net{
+		places:       n.places,
+		trans:        append([]Transition(nil), n.trans...),
+		inCount:      n.inCount,
+		outCount:     n.outCount,
+		inList:       n.inList,
+		maxDelay:     n.maxDelay,
+		firingOffset: n.firingOffset,
+		firingLen:    n.firingLen,
+	}
+	for i, t := range ts {
+		c.trans[t].setConst(ws[i])
+	}
+	return c
 }
 
 func (n *Net) freeze() {

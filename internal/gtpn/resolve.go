@@ -19,7 +19,8 @@ import (
 // merges combine the same values with the same scale factors — so
 // every floating-point result is bit-identical to the reference path.
 // One resolver serves one graph construction; it is not safe for
-// concurrent use.
+// concurrent use. A graph keeps its resolver, so a reweight (see
+// graph.reweight) rebinds it to the new net instead of making another.
 type resolver struct {
 	n  *Net
 	w  int // words per configuration
@@ -46,10 +47,11 @@ type resolver struct {
 	candT      []int32
 	candW      []float64
 
-	// Pre-boxed view handed to frequency functions: vcfg is re-pointed
-	// at the node under evaluation, so the View interface conversion
-	// happens once per resolver instead of once per Freq call.
+	// The view handed to frequency functions: vcfg is re-pointed at the
+	// node under evaluation, and iview boxes a pointer to v, so neither a
+	// Freq call nor a bind converts anything to an interface.
 	vcfg  config
+	v     view
 	iview View
 }
 
@@ -60,8 +62,16 @@ func newResolver(n *Net) *resolver {
 	r.childCfg = make([]int32, r.w)
 	r.childFired = make([]float64, r.nt)
 	r.zeroFired = make([]float64, r.nt)
-	r.iview = view{n, &r.vcfg}
+	r.v = view{n, &r.vcfg}
+	r.iview = &r.v
 	return r
+}
+
+// bind points the resolver at n, which must have r.n's configuration
+// width and transition count: the scratch is sized for those alone.
+func (r *resolver) bind(n *Net) {
+	r.n = n
+	r.v.n = n
 }
 
 // wrap adapts flat state words to the config layout (marking, then

@@ -144,25 +144,34 @@ func (n *Net) SolveContext(ctx context.Context, opts SolveOptions) (*Solution, e
 		return nil, err
 	}
 
-	sp := sc.Begin("gtpn.build", "gtpn")
-	g, err := n.buildGraph(ctx, opts.MaxStates)
-	sp.End()
+	g, _, err := graphFor(ctx, sc, nil, n, opts.MaxStates)
 	if err != nil {
 		return nil, err
 	}
-	sp = sc.Begin("gtpn.stationary", "gtpn")
-	pi, converged, residual, err := solveStationary(ctx, g, opts)
-	sp.End()
+	sol, _, err := n.solveOn(ctx, sc, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	sp = sc.Begin("gtpn.measures", "gtpn")
-	sol := n.measures(g, pi, converged, residual)
-	sp.End()
 	if usable {
 		cacheStore(key, sol)
 	}
 	return sol, nil
+}
+
+// solveOn solves g's stationary distribution and reads n's measures
+// from it, each phase under its span. It also returns the distribution,
+// which a sweep carries as the next point's warm start.
+func (n *Net) solveOn(ctx context.Context, sc *trace.Scope, g *graph, opts SolveOptions) (*Solution, []float64, error) {
+	sp := sc.Begin("gtpn.stationary", "gtpn")
+	pi, converged, residual, err := solveStationary(ctx, g, opts)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	sp = sc.Begin("gtpn.measures", "gtpn")
+	sol := n.measures(g, pi, converged, residual)
+	sp.End()
+	return sol, pi, nil
 }
 
 // cancelCheckInterval is how many units of work (explored states,
@@ -266,8 +275,9 @@ type EngineStats struct {
 	// ParallelClassSolves counts stationary solves that ran two or more
 	// terminal classes concurrently.
 	ParallelClassSolves uint64
-	// GraphsReused counts sweep points that reweighted an existing
-	// reachability graph instead of building one.
+	// GraphsReused counts solves that reweighted an existing
+	// reachability graph instead of building one: a SweepSolver's or a
+	// PointSolver's.
 	GraphsReused uint64
 	// WarmStarts counts iterative class solves seeded from a caller-
 	// provided stationary start vector instead of the uniform default.

@@ -70,31 +70,29 @@ func (s *SweepSolver) solveNext(ctx context.Context, n *Net) (*Solution, error) 
 	}
 	sc := trace.ScopeFrom(ctx)
 
+	// Only a point that verifiably continues the same-shape chain may
+	// reuse the carried graph and warm-start from its distribution. A
+	// failed reweight reports the shape contract violation as a plain
+	// cold build; the differential harness surfaces such bugs as bit
+	// mismatches against the reference chain.
 	shape, shapeOK := n.ShapeSignature()
-	g, warmable := s.reuseGraph(ctx, sc, n, shape, shapeOK)
-	if g == nil {
-		sp := sc.Begin("gtpn.build", "gtpn")
-		var err error
-		g, err = n.buildGraph(ctx, s.opts.MaxStates)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
+	var prev *graph
+	if shapeOK && shape == s.shape {
+		prev = s.g
+	}
+	g, warmable, err := graphFor(ctx, sc, prev, n, s.opts.MaxStates)
+	if err != nil {
+		return nil, err
 	}
 
 	popts := s.opts
 	if warmable && s.prevPi != nil {
 		popts.StationaryStart = s.prevPi
 	}
-	sp := sc.Begin("gtpn.stationary", "gtpn")
-	pi, converged, residual, err := solveStationary(ctx, g, popts)
-	sp.End()
+	sol, pi, err := n.solveOn(ctx, sc, g, popts)
 	if err != nil {
 		return nil, err
 	}
-	sp = sc.Begin("gtpn.measures", "gtpn")
-	sol := n.measures(g, pi, converged, residual)
-	sp.End()
 
 	if shapeOK {
 		s.g = g
@@ -106,28 +104,6 @@ func (s *SweepSolver) solveNext(ctx context.Context, n *Net) (*Solution, error) 
 		s.Reset()
 	}
 	return sol, nil
-}
-
-// reuseGraph attempts to reweight the carried graph for n. It returns
-// the graph to solve on (nil means build cold) and whether warm-starting
-// from the carried distribution is permitted — only when the point
-// verifiably continues the same-shape chain. A failed reweight discards
-// the carried graph (it is partially rewritten) and reports the shape
-// contract violation as a plain cold build; the differential harness
-// surfaces such bugs as bit mismatches against the reference chain.
-func (s *SweepSolver) reuseGraph(ctx context.Context, sc *trace.Scope, n *Net, shape string, shapeOK bool) (*graph, bool) {
-	if s.g == nil || !shapeOK || shape != s.shape {
-		return nil, false
-	}
-	sp := sc.Begin("gtpn.graph_reuse", "gtpn")
-	ok, err := s.g.reweight(ctx, n)
-	sp.End()
-	if err != nil || !ok {
-		s.g = nil
-		return nil, false
-	}
-	engineStats.graphsReused.Add(1)
-	return s.g, true
 }
 
 // SolveSweep solves every net of an ordered sweep with graph reuse and

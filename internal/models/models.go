@@ -230,6 +230,63 @@ func BuildLocal(arch timing.Arch, n, hosts int, xUS float64) *LocalModel {
 		Hosts: hosts, ResTokens: nb.resTokens}
 }
 
+// WithX returns the model for xUS microseconds of mean server
+// computation: m's net with only TCompute and TCompute.loop reweighted,
+// to p = 1/(HostCompute + xUS) and 1 − p, the floats and keys BuildLocal
+// gives them, so its signatures are BuildLocal's too. Everything else is
+// shared with m. An X at which BuildLocal would build the stage
+// otherwise (a mean below one tick, or no loop: p ≥ 1 or NaN) is left
+// to BuildLocal.
+func (m *LocalModel) WithX(xUS float64) *LocalModel {
+	mean := m.Params.HostCompute + xUS
+	p := 1 / mean
+	end, okEnd := m.Net.TransByName("TCompute")
+	loop, okLoop := m.Net.TransByName("TCompute.loop")
+	if !(mean >= 1 && p < 1) || !okEnd || !okLoop {
+		return BuildLocal(m.Params.Arch, m.N, m.Hosts, xUS)
+	}
+	cp := *m
+	cp.Net = m.Net.WithConstFreqs([]gtpn.TransID{end, loop}, []float64{p, 1 - p})
+	cp.X = xUS
+	return &cp
+}
+
+// LocalPointSolver solves local-model points one at a time on a
+// gtpn.PointSolver, which keeps the last point's graph and resolver.
+// A point that differs from the last model solved only in X takes its
+// net from that model (WithX) instead of the Builder; any other point
+// is built by BuildLocal. Every result equals BuildLocal(...) solved
+// through SolveContext with Uncached set, bit for bit: the point solver
+// starts every stationary solve uniform. After an error it must be
+// discarded. Not safe for concurrent use.
+type LocalPointSolver struct {
+	ps *gtpn.PointSolver
+	m  *LocalModel
+}
+
+// NewLocalPointSolver returns a point solver applying opts per point;
+// its solves are uncached whatever opts.Uncached says.
+func NewLocalPointSolver(opts SolveOptions) *LocalPointSolver {
+	return &LocalPointSolver{ps: gtpn.NewPointSolver(opts.gtpnOpts())}
+}
+
+// SolveContext solves the local model BuildLocal(arch, n, hosts, xUS)
+// describes.
+func (ls *LocalPointSolver) SolveContext(ctx context.Context, arch timing.Arch, n, hosts int, xUS float64) (LocalResult, error) {
+	m := ls.m
+	if m != nil && m.Params.Arch == arch && m.N == n && m.Hosts == hosts {
+		m = m.WithX(xUS)
+	} else {
+		m = BuildLocal(arch, n, hosts, xUS)
+	}
+	sol, err := ls.ps.SolveContext(ctx, m.Net)
+	if err != nil {
+		return LocalResult{}, err
+	}
+	ls.m = m
+	return m.localResult(sol)
+}
+
 // doneTransition names the transition whose completions mark the end of a
 // conversation in the local net.
 func (m *LocalModel) doneTransition() string {

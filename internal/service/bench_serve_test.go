@@ -158,11 +158,14 @@ func BenchmarkServeSolveRouted(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSolveFresh is a cluster owner's fresh point, the
-// serving path's miss: every iteration sends a never-seen X through the
-// default server, so the response cache misses and the point is built
-// and solved. The warm-up leaves only what a long-running server has
-// already done: its System's canonical C.
+// BenchmarkServeSolveFresh is a fresh point on a server with no
+// cluster tier, the serving path's miss: every iteration sends a
+// never-seen X through the default server, so the response cache
+// misses and the point is solved. The warm-up leaves what a
+// long-running server has already done: its System's canonical C, and
+// a pooled solver of the point's shape, so an iteration derives its net
+// from the last point's and reweights that point's graph (or builds
+// cold, when a GC has cleared the pool).
 func BenchmarkServeSolveFresh(b *testing.B) {
 	s := New(Config{})
 	h := s.Handler()

@@ -383,23 +383,7 @@ func TestTracedRequestTakesFastPath(t *testing.T) {
 	if !bytes.Equal(bodies[0], bodies[1]) {
 		t.Fatalf("traced repeat diverges:\n%s\nvs\n%s", bodies[0], bodies[1])
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "req-2-solve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace not JSON: %v", err)
-	}
-	events := map[string]string{}
-	for _, e := range doc.TraceEvents {
-		events[e.Name] = e.Ph
-	}
+	events := traceEvents(t, filepath.Join(dir, "req-2-solve.json"))
 	if events[DecisionRespCacheHit] != "i" || events["admission.wait"] != "" {
 		t.Fatalf("repeat's trace events = %v, want a %s instant and no admission.wait", events, DecisionRespCacheHit)
 	}
@@ -419,6 +403,51 @@ func TestTracedRequestTakesFastPath(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("trailer spans missing %q: %v", want, names)
 		}
+	}
+}
+
+// traceEvents reads a sampled request's trace file: each event's name
+// and phase.
+func traceEvents(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace not JSON: %v", err)
+	}
+	events := map[string]string{}
+	for _, e := range doc.TraceEvents {
+		events[e.Name] = e.Ph
+	}
+	return events
+}
+
+// TestSingleNodeEncodesNoForwardBody: a Server with no cluster tier
+// never forwards, so its fresh compute encodes no forward body: the
+// traced compute has no forward.encode span. Its fresh 200 still
+// reaches the response cache, so the repeat is a hit.
+func TestSingleNodeEncodesNoForwardBody(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := testServer(t, Config{NodeName: "n1", TraceDir: dir, TraceEvery: 1})
+	for i := 0; i < 2; i++ {
+		if code, _, b := post(t, ts.URL+"/v1/solve", solveBody); code != http.StatusOK {
+			t.Fatalf("solve %d: %d %s", i, code, b)
+		}
+	}
+	events := traceEvents(t, filepath.Join(dir, "req-1-solve.json"))
+	if events["gtpn.build"] == "" || events["forward.encode"] != "" {
+		t.Fatalf("fresh solve's trace events = %v, want a gtpn.build span and no forward.encode", events)
+	}
+	if leaders, hits, misses := servingCounts(t, s); leaders != 1 || hits != 1 || misses != 1 {
+		t.Fatalf("leaders=%d resp_cache hits=%d misses=%d, want 1/1/1: the repeat is a hit", leaders, hits, misses)
 	}
 }
 

@@ -631,16 +631,16 @@ func (s *Server) queueDepth() int64 {
 // slot: routed requests cost this node I/O, not compute, so they never
 // occupy the admission queue. Only a locally owned (or
 // cluster-unanswerable) key admits and computes here.
-// A point's fresh 200 (spec.Body set: solve and simulate) is stored in
-// the response cache for the fast path and offered back for
+// Only a point (solve and simulate) is routed, and its fresh 200 is
+// stored in the response cache for the fast path and offered back for
 // replication. A cluster-routed body is never stored here: the cluster
 // tier keeps it as peer bytes, which the fast path serves only where
 // ServeHeld allows.
-func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSpec, fn func(ctx context.Context) flightResult) {
+func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSpec, point bool, fn func(ctx context.Context) flightResult) {
 	sc := trace.ScopeFrom(r.Context())
 	rec := recordOf(w)
 	res, leader, err := s.flights.do(r.Context(), spec.Key, func() flightResult {
-		if s.cfg.Cluster != nil && spec.Body != nil {
+		if s.cfg.Cluster != nil && point {
 			// The routing deadline is the server's, like the computation's
 			// below: a forward keeps serving the leader's followers even if
 			// the leader's own client disconnects. The trace scope rides
@@ -686,7 +686,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 		t1 := time.Now()
 		res := fn(trace.NewContext(ctx, sc))
 		rec.setComputeUS(time.Since(t1))
-		if res.status == http.StatusOK && spec.Body != nil {
+		if res.status == http.StatusOK && point {
 			s.respCache.putLocal(spec.Key, res.body)
 			if s.cfg.Cluster != nil {
 				s.cfg.Cluster.Offer(spec, res.body)
@@ -1034,15 +1034,19 @@ func (s *Server) serveCached(w http.ResponseWriter, key []byte) bool {
 }
 
 // computePoint serves a fast-path miss through the flight group under
-// key, with the canonical body a peer can replay it from.
+// key. A Server with a cluster tier also encodes the canonical body a
+// peer can replay the point from; only a forward or a push sends it.
 func (s *Server) computePoint(w http.ResponseWriter, r *http.Request, route, key string, hops int,
 	canonical func() []byte, fn func(ctx context.Context) flightResult) {
 	rec := recordOf(w)
 	rec.setKey(key)
-	sp := trace.ScopeFrom(r.Context()).Begin("forward.encode", "serve")
-	body := canonical()
-	sp.End()
-	s.coalesce(w, r, ComputeSpec{Route: route, Key: key, Body: body, Hops: hops, RequestID: rec.idString()}, fn)
+	var body []byte
+	if s.cfg.Cluster != nil {
+		sp := trace.ScopeFrom(r.Context()).Begin("forward.encode", "serve")
+		body = canonical()
+		sp.End()
+	}
+	s.coalesce(w, r, ComputeSpec{Route: route, Key: key, Body: body, Hops: hops, RequestID: rec.idString()}, true, fn)
 }
 
 // RespCache exposes the preencoded-response cache. The cluster tier
@@ -1172,10 +1176,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	quick := r.URL.Query().Get("full") != "1"
 	key := fmt.Sprintf("exp|%s|quick=%t", e.ID, quick)
-	// Experiments are neither cluster-routed nor response-cached (Body
-	// nil): the registry is identical on every node and the outputs are
-	// large — coalescing in-process is enough.
-	s.coalesce(w, r, ComputeSpec{Route: "experiment", Key: key}, func(ctx context.Context) flightResult {
+	// Experiments are neither cluster-routed nor response-cached: the
+	// registry is identical on every node and the outputs are large —
+	// coalescing in-process is enough.
+	s.coalesce(w, r, ComputeSpec{Route: "experiment", Key: key}, false, func(ctx context.Context) flightResult {
 		// Experiments drive the registry's own Run functions, which
 		// pre-date the context plumbing; the worker-pool bound and the
 		// quick default keep them tame.
